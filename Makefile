@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-core bench-decision bench-resilience bench-region bench-telemetry bench-throughput bench-corpus bench-placement validate-specs clean
+.PHONY: all build vet test race check bench bench-e2e bench-core bench-decision bench-resilience bench-region bench-telemetry bench-throughput bench-corpus bench-placement validate-specs clean
 
 all: check
 
@@ -23,6 +23,12 @@ check: build vet race
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+
+# bench-e2e runs the end-to-end benchmark (bench/e2e/README.md): four
+# Ursa-managed workloads with per-layer host time. Pass arguments through
+# ARGS, e.g. make bench-e2e ARGS="-workloads social-10x -runs 1".
+bench-e2e:
+	bash bench/e2e/run.sh $(ARGS)
 
 # bench-core runs the simulator hot-path microbenchmarks (event core,
 # virtual-time CPU scheduler, windowed metrics queries) and writes a JSON
@@ -54,12 +60,10 @@ bench-resilience:
 # bench-region smoke-runs the multi-region grids once at small scale —
 # Fig. R1 (whole-region outage: correlated eviction, cross-region re-solve,
 # WAN-delayed RPC) and Fig. R2 (follow-the-sun spill placement) — so every
-# geo-topology path executes end to end. Diff BENCH_region.json to spot
-# run-time regressions in the region layer.
+# geo-topology path executes end to end. Region-layer run time is tracked by
+# the region-failover workload of bench-e2e.
 bench-region:
-	$(GO) test -run '^$$' -bench 'BenchmarkRegion' -benchtime=1x ./internal/experiments \
-		| $(GO) run ./cmd/benchjson > BENCH_region.json
-	@echo wrote BENCH_region.json
+	$(GO) test -run '^$$' -bench 'BenchmarkRegion' -benchtime=1x ./internal/experiments
 
 # bench-telemetry runs the bounded-memory telemetry benchmarks: quantile
 # sketch add/merge/query ns/op plus the headline bytes/window comparison

@@ -107,7 +107,10 @@ func BenchmarkFig10ModelAccuracy(b *testing.B) {
 // the social network (Fig. 11; full grid via cmd/ursa-bench -exp fig11).
 func BenchmarkFig11SLAViolations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunComparison(benchOpts(), []string{"social-network"}, nil)
+		r, err := experiments.RunComparison(benchOpts(), []string{"social-network"}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if c, ok := r.Cell("social-network", "dynamic", "ursa"); ok {
 			b.ReportMetric(c.ViolationRate*100, "ursa_dynamic_viol_pct")
 		}
@@ -127,7 +130,10 @@ func BenchmarkFig11Sequential(b *testing.B) {
 	opts := benchOpts()
 	opts.Parallelism = 1
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunComparison(opts, []string{"social-network"}, nil)
+		r, err := experiments.RunComparison(opts, []string{"social-network"}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if c, ok := r.Cell("social-network", "dynamic", "ursa"); ok {
 			b.ReportMetric(c.ViolationRate*100, "ursa_dynamic_viol_pct")
 		}
@@ -138,7 +144,10 @@ func BenchmarkFig11Sequential(b *testing.B) {
 // the social network (Fig. 12).
 func BenchmarkFig12CPUAllocation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunComparison(benchOpts(), []string{"social-network"}, nil)
+		r, err := experiments.RunComparison(benchOpts(), []string{"social-network"}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, sys := range []string{"ursa", "sinan", "firm", "auto-b"} {
 			if c, ok := r.Cell("social-network", "constant", sys); ok {
 				b.ReportMetric(c.AvgCPUs, sys+"_constant_cpus")
@@ -151,7 +160,10 @@ func BenchmarkFig12CPUAllocation(b *testing.B) {
 // (Fig. 13): Ursa scaling representative social-network services with load.
 func BenchmarkFig13DiurnalTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunDiurnal(benchOpts())
+		r, err := experiments.RunDiurnal(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		lo, hi := r.ScalingRange("post-storage")
 		b.ReportMetric(lo, "post_storage_min_cpus")
 		b.ReportMetric(hi, "post_storage_max_cpus")
@@ -162,7 +174,10 @@ func BenchmarkFig13DiurnalTrace(b *testing.B) {
 // latency for deployment decisions and model updates.
 func BenchmarkTab06ControlPlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunControlPlane(benchOpts())
+		r, err := experiments.RunControlPlane(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.DeployMs["ursa"], "ursa_deploy_ms")
 		b.ReportMetric(r.DeployMs["sinan"], "sinan_deploy_ms")
 		b.ReportMetric(r.DeployMs["firm"], "firm_deploy_ms")
@@ -175,7 +190,10 @@ func BenchmarkTab06ControlPlane(b *testing.B) {
 // partial re-exploration after the object-detect model swap.
 func BenchmarkFig14Adaptation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAdaptation(benchOpts())
+		r, err := experiments.RunAdaptation(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(float64(r.ReexploreSamples), "reexplore_samples")
 		b.ReportMetric(r.ViolationRateOriginal*100, "original_req_viol_pct")
 		b.ReportMetric(r.ViolationRateUpdated*100, "updated_req_viol_pct")
@@ -188,7 +206,10 @@ func BenchmarkFig14Adaptation(b *testing.B) {
 func BenchmarkControllerDecision(b *testing.B) {
 	opts := benchOpts()
 	c, _ := experiments.AppCaseByName("social-network")
-	mgr := opts.NewUrsaManager(c)
+	mgr, err := opts.NewManager(c, "ursa")
+	if err != nil {
+		b.Fatal(err)
+	}
 	eng := sim.NewEngine(1)
 	app, err := services.NewApp(eng, c.Spec)
 	if err != nil {
@@ -213,7 +234,10 @@ func BenchmarkControllerDecision(b *testing.B) {
 // backpressure-free exploration boundary.
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAblation(benchOpts())
+		r, err := experiments.RunAblation(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.BudgetCPUs, "budget_dp_cpus")
 		b.ReportMetric(r.EqualSplitCPUs, "equal_split_cpus")
 		b.ReportMetric(float64(r.TTestActions), "ttest_actions")

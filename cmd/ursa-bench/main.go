@@ -81,6 +81,14 @@ func main() {
 		}
 		jobs = append(jobs, job{name, fn})
 	}
+	// rendered renders a fallible experiment's table; a failed deployment
+	// ends the whole run.
+	rendered := func(r interface{ Render() string }, err error) string {
+		if err != nil {
+			fatal(err)
+		}
+		return r.Render()
+	}
 
 	run("fig2", func() string { return experiments.RunBackpressure(opts).Render() })
 	run("fig4", func() string { return experiments.RunProfiling(opts).Render() })
@@ -98,12 +106,12 @@ func main() {
 			topology.HighPriority, topology.LowPriority,
 		}).Render()
 	})
-	run("fig11", func() string { return experiments.RunComparison(opts, appFilter, sysFilter).Render() })
-	run("fig13", func() string { return experiments.RunDiurnal(opts).Render() })
-	run("tab6", func() string { return experiments.RunControlPlane(opts).Render() })
-	run("fig14", func() string { return experiments.RunAdaptation(opts).Render() })
-	run("figf1", func() string { return experiments.RunResilience(opts).Render() })
-	run("figr1", func() string { return experiments.RunRegionFailover(opts).Render() })
+	run("fig11", func() string { return rendered(experiments.RunComparison(opts, appFilter, sysFilter)) })
+	run("fig13", func() string { return rendered(experiments.RunDiurnal(opts)) })
+	run("tab6", func() string { return rendered(experiments.RunControlPlane(opts)) })
+	run("fig14", func() string { return rendered(experiments.RunAdaptation(opts)) })
+	run("figf1", func() string { return rendered(experiments.RunResilience(opts)) })
+	run("figr1", func() string { return rendered(experiments.RunRegionFailover(opts)) })
 	run("figr2", func() string { return experiments.RunFollowTheSun(opts).Render() })
 	run("figc1", func() string {
 		r := experiments.RunCorpus(opts, experiments.CorpusParams{N: *corpusN, Systems: sysFilter})
@@ -128,7 +136,7 @@ func main() {
 		}
 		return r.Render()
 	})
-	run("ablation", func() string { return experiments.RunAblation(opts).Render() })
+	run("ablation", func() string { return rendered(experiments.RunAblation(opts)) })
 
 	// Experiments themselves are independent jobs: fan them over the same
 	// bounded pool (single-deployment studies like fig13 then overlap with

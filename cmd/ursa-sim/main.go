@@ -42,16 +42,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 
-	"ursa/internal/baselines"
-	"ursa/internal/baselines/autoscale"
 	"ursa/internal/cluster"
 	"ursa/internal/experiments"
-	"ursa/internal/faults"
 	"ursa/internal/metrics"
 	"ursa/internal/region"
 	"ursa/internal/services"
@@ -62,54 +60,72 @@ import (
 	"ursa/internal/workload"
 )
 
+// options holds one invocation's parsed flags.
+type options struct {
+	appName, system, load, specFile, topoFile, dumpTopo    string
+	failNode, failRegion, telemetry, traceOut, metricsOut  string
+	cpuProfile, memProfile                                 string
+	minutes, parallel, retention, traceSample              int
+	seed                                                   int64
+	rpsMult, scale, baseRPS, failAt, failFor, sketchAlpha  float64
+	quiet, noFast, validate, resilience, useRegions, spill bool
+	args                                                   []string
+}
+
+// parseFlags parses the command line into options.
+func parseFlags(args []string) *options {
+	o := &options{}
+	fs := flag.NewFlagSet("ursa-sim", flag.ExitOnError)
+	fs.StringVar(&o.appName, "app", "social-network", "application: social-network|vanilla-social-network|media-service|video-pipeline")
+	fs.StringVar(&o.system, "system", "ursa", "manager: ursa|sinan|firm|auto-a|auto-b|none")
+	fs.StringVar(&o.load, "load", "constant", "load pattern: constant|diurnal|burst")
+	fs.IntVar(&o.minutes, "minutes", 30, "deployment duration (simulated minutes)")
+	fs.Float64Var(&o.rpsMult, "rps", 1.0, "multiplier on the app's nominal RPS")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.Float64Var(&o.scale, "scale", 0.5, "training/exploration scale for managers that need it")
+	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
+	fs.BoolVar(&o.quiet, "q", false, "suppress progress logging")
+	fs.BoolVar(&o.noFast, "no-fast-resolve", false, "disable ursa's incremental re-solve fast path (full model solve on every Optimize)")
+	fs.StringVar(&o.specFile, "spec", "", "load a custom application spec from a JSON file (overrides -app; rate via -basirps)")
+	fs.Float64Var(&o.baseRPS, "basirps", 100, "nominal RPS for a -spec application")
+	fs.StringVar(&o.topoFile, "topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
+	fs.StringVar(&o.dumpTopo, "dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
+	fs.BoolVar(&o.validate, "validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
+
+	fs.StringVar(&o.failNode, "fail-node", "", "crash this node mid-run (e.g. node-7); binds the app to the paper testbed cluster")
+	fs.Float64Var(&o.failAt, "fail-at", 10, "minutes after warm-up at which the node (or region) fails")
+	fs.Float64Var(&o.failFor, "fail-for", 5, "minutes until the failed node (or region) recovers (0 = never)")
+	fs.BoolVar(&o.resilience, "resilience", false, "enable client-side RPC timeouts and retries")
+
+	fs.BoolVar(&o.useRegions, "regions", false, "deploy on the app's geo-region topology: the spec's regions: section, or the Fig.R1 layout for social-network")
+	fs.BoolVar(&o.spill, "spill", true, "with -regions, let placement overflow into the nearest foreign region when home is capacity-short")
+	fs.StringVar(&o.failRegion, "fail-region", "", "with -regions, fail every node of this region mid-run (timing via -fail-at/-fail-for)")
+
+	fs.StringVar(&o.telemetry, "telemetry", "exact", "latency collectors: exact (raw samples) | sketch (bounded-error quantile sketches, flat memory)")
+	fs.Float64Var(&o.sketchAlpha, "sketch-alpha", 0.01, "relative-error bound for -telemetry sketch")
+	fs.IntVar(&o.retention, "retention", 0, "trim telemetry windows older than this many minutes (0 = keep everything)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "stream sampled request traces to this file as OTLP-style JSONL spans")
+	fs.IntVar(&o.traceSample, "trace-sample", 20, "with -trace-out, trace one of every N jobs")
+	fs.StringVar(&o.metricsOut, "metrics-out", "", "write retained per-window latency/arrival metrics to this file as OTLP-style JSONL summary points")
+
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
+	fs.Parse(args) // ExitOnError: never returns an error
+	o.args = fs.Args()
+	return o
+}
+
 func main() {
-	var (
-		appName  = flag.String("app", "social-network", "application: social-network|vanilla-social-network|media-service|video-pipeline")
-		system   = flag.String("system", "ursa", "manager: ursa|sinan|firm|auto-a|auto-b|none")
-		load     = flag.String("load", "constant", "load pattern: constant|diurnal|burst")
-		minutes  = flag.Int("minutes", 30, "deployment duration (simulated minutes)")
-		rpsMult  = flag.Float64("rps", 1.0, "multiplier on the app's nominal RPS")
-		seed     = flag.Int64("seed", 1, "random seed")
-		scale    = flag.Float64("scale", 0.5, "training/exploration scale for managers that need it")
-		parallel = flag.Int("parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
-		quiet    = flag.Bool("q", false, "suppress progress logging")
-		noFast   = flag.Bool("no-fast-resolve", false, "disable ursa's incremental re-solve fast path (full model solve on every Optimize)")
-		specFile = flag.String("spec", "", "load a custom application spec from a JSON file (overrides -app; rate via -basirps)")
-		baseRPS  = flag.Float64("basirps", 100, "nominal RPS for a -spec application")
-		topoFile = flag.String("topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
-		dumpTopo = flag.String("dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
-		validate = flag.Bool("validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
-
-		failNode   = flag.String("fail-node", "", "crash this node mid-run (e.g. node-7); binds the app to the paper testbed cluster")
-		failAt     = flag.Float64("fail-at", 10, "minutes after warm-up at which the node (or region) fails")
-		failFor    = flag.Float64("fail-for", 5, "minutes until the failed node (or region) recovers (0 = never)")
-		resilience = flag.Bool("resilience", false, "enable client-side RPC timeouts and retries")
-
-		useRegions = flag.Bool("regions", false, "deploy on the app's geo-region topology: the spec's regions: section, or the Fig.R1 layout for social-network")
-		spill      = flag.Bool("spill", true, "with -regions, let placement overflow into the nearest foreign region when home is capacity-short")
-		failRegion = flag.String("fail-region", "", "with -regions, fail every node of this region mid-run (timing via -fail-at/-fail-for)")
-
-		telemetry   = flag.String("telemetry", "exact", "latency collectors: exact (raw samples) | sketch (bounded-error quantile sketches, flat memory)")
-		sketchAlpha = flag.Float64("sketch-alpha", 0.01, "relative-error bound for -telemetry sketch")
-		retention   = flag.Int("retention", 0, "trim telemetry windows older than this many minutes (0 = keep everything)")
-		traceOut    = flag.String("trace-out", "", "stream sampled request traces to this file as OTLP-style JSONL spans")
-		traceSample = flag.Int("trace-sample", 20, "with -trace-out, trace one of every N jobs")
-		metricsOut  = flag.String("metrics-out", "", "write retained per-window latency/arrival metrics to this file as OTLP-style JSONL summary points")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write an end-of-run heap profile to this file (go tool pprof)")
-	)
-	flag.Parse()
-
-	if *validate {
-		runValidate(flag.Args())
+	o := parseFlags(os.Args[1:])
+	if o.validate {
+		runValidate(o.args)
 	}
-	if *dumpTopo != "" {
-		runDumpTopology(*dumpTopo)
+	if o.dumpTopo != "" {
+		runDumpTopology(o.dumpTopo)
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -119,15 +135,15 @@ func main() {
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil {
-				fatalf("closing %s: %v", *cpuProfile, err)
+				fatalf("closing %s: %v", o.cpuProfile, err)
 			}
 		}()
 	}
 	defer func() {
-		if *memProfile == "" {
+		if o.memProfile == "" {
 			return
 		}
-		f, err := os.Create(*memProfile)
+		f, err := os.Create(o.memProfile)
 		if err != nil {
 			fatalf("%v", err)
 		}
@@ -136,277 +152,218 @@ func main() {
 			fatalf("writing heap profile: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fatalf("closing %s: %v", *memProfile, err)
+			fatalf("closing %s: %v", o.memProfile, err)
 		}
 	}()
 
-	var c experiments.AppCase
-	var regionTopo region.Topology
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// appCase resolves the application the flags select, with the region
+// topology its spec file declares (empty for the built-in apps).
+func (o *options) appCase() (experiments.AppCase, region.Topology, error) {
+	var none region.Topology
 	switch {
-	case *topoFile != "":
-		data, err := os.ReadFile(*topoFile)
+	case o.topoFile != "":
+		data, err := os.ReadFile(o.topoFile)
 		if err != nil {
-			fatalf("%v", err)
+			return experiments.AppCase{}, none, err
 		}
-		f, err := spec.Parse(filepath.Base(*topoFile), data)
+		f, err := spec.Parse(filepath.Base(o.topoFile), data)
 		if err != nil {
-			fatalf("%v", err)
+			return experiments.AppCase{}, none, err
 		}
 		compiled, err := spec.Build(f)
 		if err != nil {
-			fatalf("%v", err)
+			return experiments.AppCase{}, none, err
 		}
-		c = experiments.AppCase{Name: compiled.Spec.Name, Spec: compiled.Spec,
-			Mix: compiled.Mix, TotalRPS: compiled.Rate}
-		regionTopo = compiled.Regions
-	case *specFile != "":
-		data, err := os.ReadFile(*specFile)
+		return experiments.AppCase{Name: compiled.Spec.Name, Spec: compiled.Spec,
+			Mix: compiled.Mix, TotalRPS: compiled.Rate}, compiled.Regions, nil
+	case o.specFile != "":
+		data, err := os.ReadFile(o.specFile)
 		if err != nil {
-			fatalf("%v", err)
+			return experiments.AppCase{}, none, err
 		}
 		var appSpec services.AppSpec
 		if err := json.Unmarshal(data, &appSpec); err != nil {
-			fatalf("decoding %s: %v", *specFile, err)
+			return experiments.AppCase{}, none, fmt.Errorf("decoding %s: %w", o.specFile, err)
 		}
 		if err := appSpec.Validate(); err != nil {
-			fatalf("spec invalid: %v", err)
+			return experiments.AppCase{}, none, fmt.Errorf("spec invalid: %w", err)
 		}
 		mix := workload.Mix{}
 		for _, class := range appSpec.EntryClasses() {
 			mix[class] = 1
 		}
-		c = experiments.AppCase{Name: appSpec.Name, Spec: appSpec, Mix: mix, TotalRPS: *baseRPS}
-	default:
-		var ok bool
-		c, ok = experiments.AppCaseByName(*appName)
-		if !ok {
-			fatalf("unknown app %q", *appName)
-		}
+		return experiments.AppCase{Name: appSpec.Name, Spec: appSpec, Mix: mix, TotalRPS: o.baseRPS}, none, nil
 	}
-	c.TotalRPS *= *rpsMult
-
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, NoFastResolve: *noFast}
-	if !*quiet {
-		opts.Log = os.Stderr
+	c, ok := experiments.AppCaseByName(o.appName)
+	if !ok {
+		return experiments.AppCase{}, none, fmt.Errorf("unknown app %q", o.appName)
 	}
+	return c, none, nil
+}
 
-	var mgr baselines.Manager
-	switch *system {
-	case "ursa":
-		mgr = opts.NewUrsaManager(c)
-	case "sinan":
-		mgr = opts.NewSinanManager(c)
-	case "firm":
-		mgr = opts.NewFirmManager(c)
-	case "auto-a":
-		mgr = autoscale.New(autoscale.AutoA())
-	case "auto-b":
-		mgr = autoscale.New(autoscale.AutoB())
-	case "none":
-		mgr = nil
-	default:
-		fatalf("unknown system %q", *system)
+// scenario maps the flags onto the one run they describe, returning the
+// app's name for the report. Every input is checked before the manager is
+// prepared, so a bad flag fails fast instead of after exploration.
+func (o *options) scenario() (string, experiments.Scenario, error) {
+	c, regions, err := o.appCase()
+	if err != nil {
+		return "", experiments.Scenario{}, err
 	}
+	c.TotalRPS *= o.rpsMult
+	warm := 2 * sim.Minute
+	dur := sim.Time(o.minutes) * sim.Minute
+	s := experiments.Scenario{Seed: o.seed, Spec: c.Spec, Mix: c.Mix, Warm: warm, Duration: dur}
 
-	dur := sim.Time(*minutes) * sim.Minute
-	var pattern workload.Pattern
-	switch *load {
+	switch o.load {
 	case "constant":
-		pattern = workload.Constant{Value: c.TotalRPS}
+		s.Pattern = workload.Constant{Value: c.TotalRPS}
 	case "diurnal":
-		pattern = workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur}
+		s.Pattern = workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur}
 	case "burst":
-		pattern = workload.Modulate{
+		s.Pattern = workload.Modulate{
 			Base: workload.Constant{Value: c.TotalRPS}, Factor: 2,
 			Start: dur * 2 / 5, Len: dur / 5,
 		}
 	default:
-		fatalf("unknown load %q", *load)
+		return "", s, fmt.Errorf("unknown load %q", o.load)
 	}
 
-	tc := services.TelemetryConfig{Retention: sim.Time(*retention) * sim.Minute}
-	switch *telemetry {
+	s.Telemetry.Retention = sim.Time(o.retention) * sim.Minute
+	switch o.telemetry {
 	case "exact":
 	case "sketch":
-		tc.SketchAlpha = *sketchAlpha
+		s.Telemetry.SketchAlpha = o.sketchAlpha
 	default:
-		fatalf("unknown telemetry mode %q (want exact|sketch)", *telemetry)
+		return "", s, fmt.Errorf("unknown telemetry mode %q (want exact|sketch)", o.telemetry)
+	}
+	if o.resilience {
+		s.Resilience = &services.ResiliencePolicy{}
 	}
 
-	eng := sim.NewEngine(*seed)
-	warm := 2 * sim.Minute
-	var (
-		app           *services.App
-		err           error
-		in            *faults.Injector
-		cl            *cluster.Cluster
-		rm            *region.Map
-		regionEvicted int
-	)
+	at := warm + sim.Time(o.failAt*float64(sim.Minute))
+	failFor := sim.Time(o.failFor * float64(sim.Minute))
 	switch {
-	case *useRegions:
-		if *failNode != "" {
-			fatalf("-regions is incompatible with -fail-node (use -fail-region)")
+	case o.useRegions:
+		if o.failNode != "" {
+			return "", s, fmt.Errorf("-regions is incompatible with -fail-node (use -fail-region)")
 		}
-		if regionTopo.Empty() && c.Name == "social-network" {
+		s.Regions = regions
+		if s.Regions.Empty() && c.Name == "social-network" {
 			// The built-in app has no regions: section; use the Fig.R1 layout.
-			regionTopo = experiments.SocialNetworkRegions()
+			s.Regions = experiments.SocialNetworkRegions()
 		}
-		if regionTopo.Empty() {
-			fatalf("-regions: %s declares no regions (add a regions: section to the spec)", c.Name)
+		if s.Regions.Empty() {
+			return "", s, fmt.Errorf("-regions: %s declares no regions (add a regions: section to the spec)", c.Name)
 		}
-		regionTopo.Spill = *spill
-		cl = regionTopo.Cluster(cluster.WorstFit)
-		rm, err = region.New(regionTopo, cl)
-		if err != nil {
-			fatalf("%v", err)
+		s.Regions.Spill = o.spill
+		if o.failRegion != "" {
+			s.Fault = experiments.Fault{Region: o.failRegion, At: at, For: failFor}
 		}
-		if *failRegion != "" {
-			known := false
-			for _, g := range regionTopo.Groups {
-				known = known || g.Name == *failRegion
-			}
-			if !known {
-				fatalf("unknown region %q", *failRegion)
-			}
-		}
-	case *failNode != "":
+	case o.failRegion != "":
+		return "", s, fmt.Errorf("-fail-region needs -regions")
+	case o.failNode != "":
 		// Node faults need real placements to evict: bind to the testbed.
-		cl = cluster.PaperTestbed()
-		if cl.NodeByName(*failNode) == nil {
-			fatalf("unknown node %q (testbed has node-0 … node-7)", *failNode)
-		}
+		s.Cluster = cluster.PaperTestbed()
+		s.Fault = experiments.Fault{Node: o.failNode, At: at, For: failFor}
 	}
-	if rm != nil {
-		app, err = services.NewAppTelemetryPlaced(eng, c.Spec, 0, cl, tc, rm)
-	} else {
-		app, err = services.NewAppTelemetry(eng, c.Spec, 0, cl, tc)
-	}
-	if err != nil {
-		fatalf("deploy: %v", err)
-	}
-	if rm != nil {
-		rm.Bind(eng, app)
-		if *failRegion != "" {
-			eng.Schedule(warm+sim.Time(*failAt*float64(sim.Minute)), func() {
-				regionEvicted = rm.FailRegion(*failRegion)
-			})
-			if *failFor > 0 {
-				eng.Schedule(warm+sim.Time((*failAt+*failFor)*float64(sim.Minute)), func() {
-					rm.RecoverRegion(*failRegion)
-				})
-			}
-		}
-	} else if cl != nil {
-		in = faults.New(eng, app, cl, faults.Schedule{NodeFails: []faults.NodeFail{{
-			Node: *failNode,
-			At:   warm + sim.Time(*failAt*float64(sim.Minute)),
-			For:  sim.Time(*failFor * float64(sim.Minute)),
-		}}})
-		in.Start()
+	if err := s.Validate(); err != nil {
+		return "", s, err
 	}
 
+	if o.system != "none" {
+		opts := experiments.Options{Seed: o.seed, Scale: o.scale, Parallelism: o.parallel, NoFastResolve: o.noFast}
+		if !o.quiet {
+			opts.Log = os.Stderr
+		}
+		if s.Manager, err = opts.NewManager(c, o.system); err != nil {
+			return "", s, err
+		}
+	}
+	return c.Name, s, nil
+}
+
+// run executes the invocation's scenario, writes the optional trace and
+// metrics exports, and prints the report to stdout.
+func run(o *options, stdout, stderr io.Writer) error {
+	name, s, err := o.scenario()
+	if err != nil {
+		return err
+	}
 	var spanFile *os.File
 	var spanW *trace.SpanWriter
-	if *traceOut != "" {
-		spanFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
+	if o.traceOut != "" {
+		if spanFile, err = os.Create(o.traceOut); err != nil {
+			return err
 		}
-		tr := trace.NewTracer(*traceSample, 1) // stream, don't retain
+		defer spanFile.Close()
+		s.Tracer = trace.NewTracer(o.traceSample, 1) // stream, don't retain
 		spanW = trace.NewSpanWriter(spanFile)
-		tr.Exporter = spanW.ExportTrace
-		app.Tracer = tr
+		s.Tracer.Exporter = spanW.ExportTrace
 	}
-	if *resilience {
-		app.SetResilience(services.ResiliencePolicy{})
-	} else if *failNode != "" || *failRegion != "" {
-		fmt.Fprintln(os.Stderr, "ursa-sim: warning: node/region failure without -resilience — callers of crashed replicas will hang")
+	if s.Resilience == nil && s.Fault != (experiments.Fault{}) {
+		fmt.Fprintln(stderr, "ursa-sim: warning: node/region failure without -resilience — callers of crashed replicas will hang")
 	}
-	gen := workload.New(eng, app, pattern, c.Mix)
-	gen.Start()
-	if mgr != nil {
-		mgr.Attach(app)
-	}
-	eng.RunUntil(warm)
-	alloc0 := app.AllocIntegralCPUSeconds()
-	eng.RunUntil(warm + dur)
-	alloc1 := app.AllocIntegralCPUSeconds()
-	if mgr != nil {
-		mgr.Detach()
+	r, err := experiments.Run(s)
+	if err != nil {
+		return fmt.Errorf("deploy: %w", err)
 	}
 	if spanW != nil {
 		// Close out jobs still in flight (or abandoned by faults) as
 		// incomplete traces so the export captures them too.
-		app.Tracer.FlushOpen(eng.Now())
+		s.Tracer.FlushOpen(r.App.Eng.Now())
 		if err := spanW.Flush(); err != nil {
-			fatalf("writing %s: %v", *traceOut, err)
+			return fmt.Errorf("writing %s: %w", o.traceOut, err)
 		}
 		if err := spanFile.Close(); err != nil {
-			fatalf("closing %s: %v", *traceOut, err)
+			return fmt.Errorf("closing %s: %w", o.traceOut, err)
 		}
 	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, app, c.Spec); err != nil {
-			fatalf("writing %s: %v", *metricsOut, err)
+	if o.metricsOut != "" {
+		if err := writeMetrics(o.metricsOut, r.App); err != nil {
+			return fmt.Errorf("writing %s: %w", o.metricsOut, err)
 		}
 	}
+	report(stdout, name, o, s, r)
+	return nil
+}
 
-	fmt.Printf("\n%s under %s (%s load, %d min):\n\n", c.Name, *system, *load, *minutes)
-	fmt.Printf("%-22s %10s %12s %10s\n", "class", "SLA(ms)", "pXX(ms)", "violated")
-	totalWin, violWin := 0, 0
-	for _, cs := range c.Spec.Classes {
-		rec := app.E2E.Class(cs.Name)
-		if rec == nil {
-			continue
-		}
-		lat := rec.PercentileBetween(warm, warm+dur, cs.SLAPercentile)
-		// Whole windows only: a trailing partial window would skew the
-		// violation denominator (same rule as the experiment harness).
-		tw, vw := 0, 0
-		for w := warm; w+sim.Minute <= warm+dur; w += sim.Minute {
-			if rec.Count(w, w+sim.Minute) == 0 {
-				continue
-			}
-			tw++
-			if rec.PercentileBetween(w, w+sim.Minute, cs.SLAPercentile) > cs.SLAMillis {
-				vw++
-			}
-		}
-		totalWin += tw
-		violWin += vw
-		fmt.Printf("%-22s %10.0f %12.1f %9.1f%%\n", cs.Name, cs.SLAMillis, lat,
-			100*float64(vw)/float64(max(1, tw)))
+// report prints the per-class SLA and resource report of one run.
+func report(w io.Writer, name string, o *options, s experiments.Scenario, r experiments.Result) {
+	fmt.Fprintf(w, "\n%s under %s (%s load, %d min):\n\n", name, o.system, o.load, o.minutes)
+	fmt.Fprintf(w, "%-22s %10s %12s %10s\n", "class", "SLA(ms)", "pXX(ms)", "violated")
+	for _, row := range r.Classes {
+		fmt.Fprintf(w, "%-22s %10.0f %12.1f %9.1f%%\n", row.Class, row.SLAMillis, row.Latency,
+			100*float64(row.Violated)/float64(max(1, row.Windows)))
 	}
-	fmt.Printf("\noverall SLA violation rate: %.1f%%\n", 100*float64(violWin)/float64(max(1, totalWin)))
-	fmt.Printf("average CPU allocation:     %.1f cores\n", (alloc1-alloc0)/dur.Seconds())
-	if mgr != nil {
-		fmt.Printf("avg decision latency:       %.3f ms\n", mgr.AvgDecisionMillis())
+	fmt.Fprintf(w, "\noverall SLA violation rate: %.1f%%\n", 100*r.ViolationRate)
+	fmt.Fprintf(w, "average CPU allocation:     %.1f cores\n", r.AvgCPUs)
+	if s.Manager != nil {
+		fmt.Fprintf(w, "avg decision latency:       %.3f ms\n", r.DecisionMs)
 	}
-	fmt.Printf("jobs injected/completed:    %d/%d\n", app.InjectedJobs, app.CompletedJobs())
-	if *resilience || in != nil || *failRegion != "" {
-		fmt.Printf("jobs failed:                %d (availability %.3f%%)\n", app.FailedJobs(), app.Availability()*100)
+	app := r.App
+	fmt.Fprintf(w, "jobs injected/completed:    %d/%d\n", app.InjectedJobs, app.CompletedJobs())
+	if s.Resilience != nil || s.Fault != (experiments.Fault{}) {
+		fmt.Fprintf(w, "jobs failed:                %d (availability %.3f%%)\n", app.FailedJobs(), r.Availability*100)
 	}
-	if *resilience {
-		var retries, errors float64
-		for _, name := range app.ServiceNames() {
-			svc := app.Service(name)
-			retries += svc.RPCRetries.Total(0, warm+dur)
-			errors += svc.RPCErrors.Total(0, warm+dur)
-		}
-		fmt.Printf("rpc errors/retries:         %.0f/%.0f\n", errors, retries)
+	if s.Resilience != nil {
+		fmt.Fprintf(w, "rpc errors/retries:         %.0f/%.0f\n", r.Errors, r.Retries)
 	}
-	if in != nil {
-		fmt.Printf("replicas evicted:           %d (unschedulable events: %d)\n", in.Evicted, app.UnschedulableEvents)
-		fmt.Println("\nfault log:")
-		for _, rec := range in.Records {
-			fmt.Printf("  %-12v %s\n", rec.At, rec.Detail)
+	if s.Fault.Node != "" {
+		fmt.Fprintf(w, "replicas evicted:           %d (unschedulable events: %d)\n", r.Evicted, r.Unschedulable)
+		fmt.Fprintln(w, "\nfault log:")
+		for _, rec := range r.FaultLog {
+			fmt.Fprintf(w, "  %-12v %s\n", rec.At, rec.Detail)
 		}
 	}
-	if rm != nil {
-		fmt.Printf("replicas spilled:           %d (WAN hops: %d)\n", rm.Spilled, rm.WANHops)
-		if *failRegion != "" {
-			fmt.Printf("replicas evicted:           %d (unschedulable events: %d)\n", regionEvicted, app.UnschedulableEvents)
+	if !s.Regions.Empty() {
+		fmt.Fprintf(w, "replicas spilled:           %d (WAN hops: %d)\n", r.Spilled, r.WANHops)
+		if s.Fault.Region != "" {
+			fmt.Fprintf(w, "replicas evicted:           %d (unschedulable events: %d)\n", r.Evicted, r.Unschedulable)
 		}
 	}
 }
@@ -414,7 +371,7 @@ func main() {
 // writeMetrics dumps every retained telemetry window as OTLP-style JSONL
 // summary points: end-to-end latency per class, per-service response time,
 // and per-service arrival counts.
-func writeMetrics(path string, app *services.App, spec services.AppSpec) error {
+func writeMetrics(path string, app *services.App) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -501,11 +458,4 @@ func runDumpTopology(name string) {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "ursa-sim: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

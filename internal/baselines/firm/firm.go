@@ -318,7 +318,7 @@ func Pretrain(f *Firm, mix workload.Mix, totalRPS float64, cfg PretrainConfig) P
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	eng := sim.NewEngine(cfg.Seed)
 	spec := f.spec
-	app, err := services.NewAppWindow(eng, spec, cfg.Window)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: cfg.Window})
 	if err != nil {
 		panic(err)
 	}

@@ -51,7 +51,7 @@ func TestFirmControlsApp(t *testing.T) {
 	f.SetExplore(false)
 
 	eng := sim.NewEngine(23)
-	app, err := services.NewAppWindow(eng, spec, 30*sim.Second)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: 30 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

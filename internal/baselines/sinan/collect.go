@@ -64,7 +64,7 @@ func Collect(spec services.AppSpec, mix workload.Mix, totalRPS float64, cfg Coll
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	eng := sim.NewEngine(cfg.Seed)
-	app, err := services.NewAppWindow(eng, spec, cfg.Window)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: cfg.Window})
 	if err != nil {
 		panic(err)
 	}

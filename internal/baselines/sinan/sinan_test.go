@@ -98,7 +98,7 @@ func TestSinanManagesLoad(t *testing.T) {
 	s := Train(spec, res.SvcNames, res.RPSNorm, res.Samples, Config{Seed: 11, Epochs: 50, Window: 30 * sim.Second})
 
 	eng := sim.NewEngine(12)
-	app, err := services.NewAppWindow(eng, spec, 30*sim.Second)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: 30 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

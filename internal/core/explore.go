@@ -207,7 +207,7 @@ func (e *Explorer) ExploreService(name string, cfg ExploreConfig) (*Profile, err
 		spec.Services[i].MaxReplicas = 0
 	}
 	eng := sim.NewEngine(cfg.Seed)
-	app, err := services.NewAppWindow(eng, spec, cfg.Window)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: cfg.Window})
 	if err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ func runProfilingStep(svc services.ServiceSpec, classRPS map[string]float64, fac
 	}
 
 	eng := sim.NewEngine(cfg.Seed)
-	app, err := services.NewAppWindow(eng, spec, cfg.Window)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Window: cfg.Window})
 	if err != nil {
 		panic(err)
 	}

@@ -38,7 +38,7 @@ type AblationResult struct {
 }
 
 // RunAblation executes the three studies on the social network.
-func RunAblation(opts Options) AblationResult {
+func RunAblation(opts Options) (AblationResult, error) {
 	opts.defaults()
 	c, _ := AppCaseByName("social-network")
 	ex, profiles, _ := opts.ursaProfiles(c)
@@ -61,65 +61,57 @@ func RunAblation(opts Options) AblationResult {
 	// 2 + 3 run four independent deployments (t-test on/off, exploration
 	// threshold on/off); fan them over the worker pool. Each task writes its
 	// own result fields, so the merge is deterministic.
-	runDeploy := func(p map[string]*core.Profile) (float64, float64) {
-		eng := sim.NewEngine(opts.Seed + 81)
-		app, err := services.NewApp(eng, c.Spec)
-		if err != nil {
-			panic(err)
-		}
-		mgr := opts.newCoreManager(c.Spec, p)
-		if err := mgr.Run(app, c.Mix, c.TotalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
-			panic(err)
-		}
-		gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-		gen.Start()
-		dur := opts.scaleTime(30*sim.Minute, 10*sim.Minute)
-		warm := 2 * sim.Minute
-		eng.RunUntil(warm)
-		a0 := app.AllocIntegralCPUSeconds()
-		eng.RunUntil(warm + dur)
-		a1 := app.AllocIntegralCPUSeconds()
-		mgr.Stop()
-		return violationRate(app, c.Spec, warm, warm+dur), (a1 - a0) / dur.Seconds()
+	runDeploy := func(p map[string]*core.Profile) (float64, float64, error) {
+		r, err := Run(Scenario{
+			Seed: opts.Seed + 81, Spec: c.Spec, Mix: c.Mix,
+			Pattern: workload.Constant{Value: c.TotalRPS}, Manager: opts.ursaWith(c, p),
+			Warm: 2 * sim.Minute, Duration: opts.scaleTime(30*sim.Minute, 10*sim.Minute),
+		})
+		return r.ViolationRate, r.AvgCPUs, err
 	}
-	tasks := []func(){
+	tasks := []func() error{
 		// 2. Controller t-test under load that hovers at a replica boundary:
 		// the offered rate sits right where ceil(load/threshold) flips, so a
 		// controller that acts on raw window estimates flaps while the
 		// t-test absorbs the noise.
-		func() {
+		func() (err error) {
 			opts.logf("ablation: controller with t-test")
-			res.TTestActions, res.TTestViolation, res.TTestAvgCPUs = runBoundaryController(opts, false)
+			res.TTestActions, res.TTestViolation, res.TTestAvgCPUs, err = runBoundaryController(opts, false)
+			return err
 		},
-		func() {
+		func() (err error) {
 			opts.logf("ablation: controller without t-test")
-			res.NoTTestActions, res.NoTTestViolation, res.NoTTestAvgCPUs = runBoundaryController(opts, true)
+			res.NoTTestActions, res.NoTTestViolation, res.NoTTestAvgCPUs, err = runBoundaryController(opts, true)
+			return err
 		},
 		// 3. Backpressure threshold on/off during exploration.
-		func() {
+		func() (err error) {
 			opts.logf("ablation: deployment with backpressure-free boundary")
-			res.ThresholdOnViolation, res.ThresholdOnCPUs = runDeploy(profiles)
+			res.ThresholdOnViolation, res.ThresholdOnCPUs, err = runDeploy(profiles)
+			return err
 		},
-		func() {
+		func() (err error) {
 			opts.logf("ablation: exploring to saturation (threshold off)")
 			exOff := &core.Explorer{Spec: c.Spec, Mix: c.Mix, TotalRPS: c.TotalRPS, Thresholds: map[string]float64{}}
 			for _, s := range c.Spec.Services {
 				exOff.Thresholds[s.Name] = 1.0 // explore all the way to saturation
 			}
 			profOff, _, err := exOff.ExploreAll(opts.exploreConfig())
-			if err == nil {
-				res.ThresholdOffViolation, res.ThresholdOffCPUs = runDeploy(profOff)
+			if err != nil {
+				return nil // an infeasible saturated exploration leaves the row at zero
 			}
+			res.ThresholdOffViolation, res.ThresholdOffCPUs, err = runDeploy(profOff)
+			return err
 		},
 	}
-	opts.forEach(len(tasks), func(i int) { tasks[i]() })
-	return res
+	err := opts.forEachErr(len(tasks), func(i int) error { return tasks[i]() })
+	return res, err
 }
 
 // runBoundaryController deploys a single-service app whose load sits at a
 // replica-count boundary and counts scaling actions with and without the
 // Welch-t-test confirmation.
-func runBoundaryController(opts Options, disableTTest bool) (actions int, violation, cpus float64) {
+func runBoundaryController(opts Options, disableTTest bool) (actions int, violation, cpus float64, err error) {
 	spec := services.AppSpec{
 		Name: "boundary",
 		Services: []services.ServiceSpec{{
@@ -140,36 +132,43 @@ func runBoundaryController(opts Options, disableTTest bool) (actions int, violat
 			RateSamples: map[string][]float64{"req": {29.4, 29.8, 30.0, 30.2, 30.6}},
 		},
 	}}
-	eng := sim.NewEngine(opts.Seed + 80)
-	app, err := services.NewApp(eng, spec)
-	if err != nil {
-		panic(err)
-	}
-	ctl := core.NewController(app, sol, core.ControllerConfig{
-		Headroom:     1.0,
-		DisableTTest: disableTTest,
+	ctl := &boundaryController{sol: sol, cfg: core.ControllerConfig{Headroom: 1.0, DisableTTest: disableTTest}}
+	r, err := Run(Scenario{
+		Seed: opts.Seed + 80, Spec: spec, Mix: workload.Mix{"req": 1},
+		Pattern: workload.Constant{Value: 119}, Manager: ctl,
+		Warm: 2 * sim.Minute, Duration: opts.scaleTime(60*sim.Minute, 20*sim.Minute),
 	})
-	prev := app.Service("api").Replicas()
-	tick := eng.Every(sim.Minute, func() {
-		ctl.Tick()
-		if r := app.Service("api").Replicas(); r != prev {
-			actions++
+	return ctl.actions, r.ViolationRate, r.AvgCPUs, err
+}
+
+// boundaryController is the bare resource controller on a fixed solution,
+// ticked once a minute, counting the replica changes it makes.
+type boundaryController struct {
+	sol     *core.Solution
+	cfg     core.ControllerConfig
+	ctl     *core.Controller
+	tick    *sim.Ticker
+	actions int
+}
+
+func (b *boundaryController) Name() string { return "controller" }
+
+func (b *boundaryController) Attach(app *services.App) {
+	b.ctl = core.NewController(app, b.sol, b.cfg)
+	api := app.Service("api")
+	prev := api.Replicas()
+	b.tick = app.Eng.Every(sim.Minute, func() {
+		b.ctl.Tick()
+		if r := api.Replicas(); r != prev {
+			b.actions++
 			prev = r
 		}
 	})
-	gen := workload.New(eng, app, workload.Constant{Value: 119}, workload.Mix{"req": 1})
-	gen.Start()
-	dur := opts.scaleTime(60*sim.Minute, 20*sim.Minute)
-	warm := 2 * sim.Minute
-	eng.RunUntil(warm)
-	a0 := app.AllocIntegralCPUSeconds()
-	eng.RunUntil(warm + dur)
-	a1 := app.AllocIntegralCPUSeconds()
-	tick.Stop()
-	violation = violationRate(app, spec, warm, warm+dur)
-	cpus = (a1 - a0) / dur.Seconds()
-	return actions, violation, cpus
 }
+
+func (b *boundaryController) Detach() { b.tick.Stop() }
+
+func (b *boundaryController) AvgDecisionMillis() float64 { return b.ctl.AvgDecisionMillis() }
 
 // Render prints the three ablation tables.
 func (r AblationResult) Render() string {

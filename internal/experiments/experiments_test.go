@@ -102,7 +102,10 @@ func TestAccuracyShapes(t *testing.T) {
 }
 
 func TestControlPlaneShapes(t *testing.T) {
-	r := RunControlPlane(quick())
+	r, err := RunControlPlane(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ursa, sinan := r.DeployMs["ursa"], r.DeployMs["sinan"]
 	if ursa <= 0 || sinan <= 0 {
 		t.Fatalf("missing deploy latencies: %+v", r.DeployMs)
@@ -124,10 +127,14 @@ func TestControlPlaneShapes(t *testing.T) {
 }
 
 func TestDiurnalShapes(t *testing.T) {
-	r := RunDiurnal(quick())
+	r, err := RunDiurnal(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Services) == 0 {
 		t.Fatal("no traces")
 	}
+	assertGolden(t, "testdata/fig13.golden", r.Render())
 	// Ursa must scale at least one tracked service up and down with load.
 	scaled := false
 	for name := range r.Services {
@@ -142,7 +149,11 @@ func TestDiurnalShapes(t *testing.T) {
 }
 
 func TestAdaptationShapes(t *testing.T) {
-	r := RunAdaptation(quick())
+	r, err := RunAdaptation(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "testdata/fig14.golden", r.Render())
 	// Partial re-exploration must be much cheaper than a full one.
 	if r.ReexploreSamples <= 0 || r.ReexploreSamples > 120 {
 		t.Errorf("re-exploration samples = %d", r.ReexploreSamples)
@@ -166,10 +177,14 @@ func TestAdaptationShapes(t *testing.T) {
 }
 
 func TestComparisonShapesSocial(t *testing.T) {
-	r := RunComparison(quick(), []string{"social-network"}, nil)
+	r, err := RunComparison(quick(), []string{"social-network"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Cells) != 15 {
 		t.Fatalf("cells = %d, want 15", len(r.Cells))
 	}
+	assertGolden(t, "testdata/fig11_social.golden", r.Render())
 	for _, load := range []string{"constant", "dynamic", "skewed"} {
 		ursa, _ := r.Cell("social-network", load, "ursa")
 		autob, _ := r.Cell("social-network", load, "auto-b")
@@ -199,7 +214,11 @@ func TestComparisonShapesSocial(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	r := RunAblation(quick())
+	r, err := RunAblation(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, "testdata/ablation.golden", r.Render())
 	// The optimized percentile DP never costs more than the naive split.
 	if r.EqualSplitFeasible && r.EqualSplitCPUs < r.BudgetCPUs-1e-9 {
 		t.Errorf("equal split (%f) beat the DP (%f)", r.EqualSplitCPUs, r.BudgetCPUs)
@@ -227,6 +246,7 @@ func TestCorpusShapes(t *testing.T) {
 	if len(r.Topologies) != 3 {
 		t.Fatalf("topologies = %d", len(r.Topologies))
 	}
+	assertGolden(t, "testdata/figc1.golden", r.Render())
 	if len(r.Cells) != 6 {
 		t.Fatalf("cells = %d, want 6", len(r.Cells))
 	}

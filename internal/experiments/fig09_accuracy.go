@@ -100,7 +100,7 @@ func RunAccuracy(opts Options, c AppCase, classes []string) AccuracyResult {
 
 	// Calibrate the overestimation ratio on the first quarter of windows.
 	calib := map[string]float64{}
-	nCal := maxInt(1, len(wins)/4)
+	nCal := max(1, len(wins)/4)
 	for _, class := range classes {
 		var ratios []float64
 		for _, w := range wins[:nCal] {

@@ -100,24 +100,28 @@ func comparisonJobs(dur sim.Time, appFilter, systemFilter []string) []comparison
 // up to Options.Parallelism, merged back in canonical grid order. Expensive
 // preparation (exploration, ML training) happens lazily, so filtered-out
 // systems are never trained.
-func RunComparison(opts Options, appFilter, systemFilter []string) ComparisonResult {
+func RunComparison(opts Options, appFilter, systemFilter []string) (ComparisonResult, error) {
 	opts.defaults()
 	dur := opts.scaleTime(30*sim.Minute, 8*sim.Minute)
 	jobs := comparisonJobs(dur, appFilter, systemFilter)
 	cells := make([]ComparisonCell, len(jobs))
-	opts.forEach(len(jobs), func(i int) {
+	err := opts.forEachErr(len(jobs), func(i int) error {
 		j := jobs[i]
 		mgr := opts.newManagerFor(j.c, j.system)
 		opts.logf("fig11: %s / %s / %s", j.c.Name, j.scen.name, j.system)
-		r := opts.runDeployment(j.c, mgr, j.scen.pattern, j.scen.mix, dur)
+		r, err := Run(opts.deployment(j.c, mgr, j.scen.pattern, j.scen.mix, dur))
+		if err != nil {
+			return fmt.Errorf("fig11: %s / %s / %s: %w", j.c.Name, j.scen.name, j.system, err)
+		}
 		cells[i] = ComparisonCell{
 			App: j.c.Name, Load: j.scen.name, System: j.system,
 			ViolationRate: r.ViolationRate,
 			AvgCPUs:       r.AvgCPUs,
 			DecisionMs:    r.DecisionMs,
 		}
+		return nil
 	})
-	return ComparisonResult{Cells: cells}
+	return ComparisonResult{Cells: cells}, err
 }
 
 func contains(xs []string, v string) bool {

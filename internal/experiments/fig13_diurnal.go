@@ -26,42 +26,31 @@ type DiurnalResult struct {
 
 // RunDiurnal deploys Ursa on the social network under a diurnal load and
 // traces representative services.
-func RunDiurnal(opts Options) DiurnalResult {
+func RunDiurnal(opts Options) (DiurnalResult, error) {
 	opts.defaults()
 	c, _ := AppCaseByName("social-network")
 	tracked := []string{"compose-post", "post-storage", "user-timeline", "sentiment-ml"}
 
-	ursa := opts.newUrsa(c)
 	dur := opts.scaleTime(48*sim.Minute, 16*sim.Minute)
-	eng := sim.NewEngine(opts.Seed + 7)
-	app, err := services.NewApp(eng, c.Spec)
-	if err != nil {
-		panic(err)
-	}
-	gen := workload.New(eng, app, workload.Diurnal{
-		Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur,
-	}, c.Mix)
-	gen.Start()
-	ursa.Attach(app)
-
 	res := DiurnalResult{App: c.Name, Services: map[string][]DiurnalPoint{}}
 	minute := 0
-	probe := eng.Every(sim.Minute, func() {
-		now := eng.Now()
-		for _, name := range tracked {
-			svc := app.Service(name)
-			res.Services[name] = append(res.Services[name], DiurnalPoint{
-				Minute: minute,
-				RPS:    svc.ArrivalsAll.Rate(now-sim.Minute, now),
-				CPUs:   svc.AllocatedCPUs(),
-			})
-		}
-		minute++
+	_, err := Run(Scenario{
+		Seed: opts.Seed + 7, Spec: c.Spec, Mix: c.Mix,
+		Pattern: workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur},
+		Manager: opts.newUrsa(c), Duration: dur,
+		Probe: func(app *services.App, now sim.Time) {
+			for _, name := range tracked {
+				svc := app.Service(name)
+				res.Services[name] = append(res.Services[name], DiurnalPoint{
+					Minute: minute,
+					RPS:    svc.ArrivalsAll.Rate(now-sim.Minute, now),
+					CPUs:   svc.AllocatedCPUs(),
+				})
+			}
+			minute++
+		},
 	})
-	eng.RunUntil(dur)
-	probe.Stop()
-	ursa.Detach()
-	return res
+	return res, err
 }
 
 // Render prints the per-service traces.

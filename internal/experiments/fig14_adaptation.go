@@ -47,7 +47,7 @@ func mobilenetSocialNetwork() services.AppSpec {
 }
 
 // RunAdaptation executes the service-change study.
-func RunAdaptation(opts Options) AdaptationResult {
+func RunAdaptation(opts Options) (AdaptationResult, error) {
 	opts.defaults()
 	c, _ := AppCaseByName("social-network")
 	res := AdaptationResult{SLAMillis: 10000}
@@ -56,7 +56,11 @@ func RunAdaptation(opts Options) AdaptationResult {
 	opts.logf("fig14: exploring original application")
 	ex, profiles, _ := opts.ursaProfiles(c)
 	dur := opts.scaleTime(20*sim.Minute, 16*sim.Minute)
-	res.Original, res.ViolationRateOriginal = opts.deployAndMeasureClass(c.Spec, profiles, c, topology.ObjectDetect, dur)
+	var err error
+	res.Original, res.ViolationRateOriginal, err = opts.deployAndMeasureClass(c, profiles, topology.ObjectDetect, dur)
+	if err != nil {
+		return res, fmt.Errorf("fig14: original deployment: %w", err)
+	}
 
 	// Service update: only the modified service is re-explored (§V.2).
 	opts.logf("fig14: partial re-exploration of object-detect-ml")
@@ -64,7 +68,7 @@ func RunAdaptation(opts Options) AdaptationResult {
 	ex2 := &core.Explorer{Spec: updated, Mix: ex.Mix, TotalRPS: ex.TotalRPS, Thresholds: ex.Thresholds}
 	p, err := ex2.ExploreService("object-detect-ml", opts.exploreConfig())
 	if err != nil {
-		panic(err)
+		return res, fmt.Errorf("fig14: re-exploration: %w", err)
 	}
 	res.ReexploreSamples = p.Samples
 	res.ReexploreHours = (sim.Time(p.Samples) * sim.Minute).Hours()
@@ -76,34 +80,31 @@ func RunAdaptation(opts Options) AdaptationResult {
 
 	updatedCase := c
 	updatedCase.Spec = updated
-	res.Updated, res.ViolationRateUpdated = opts.deployAndMeasureClass(updated, newProfiles, updatedCase, topology.ObjectDetect, dur)
-	return res
+	res.Updated, res.ViolationRateUpdated, err = opts.deployAndMeasureClass(updatedCase, newProfiles, topology.ObjectDetect, dur)
+	if err != nil {
+		return res, fmt.Errorf("fig14: updated deployment: %w", err)
+	}
+	return res, nil
 }
 
-// deployAndMeasureClass runs Ursa on a spec and returns the end-to-end
-// latency samples and per-window violation rate for one class.
-func (o *Options) deployAndMeasureClass(spec services.AppSpec, profiles map[string]*core.Profile, c AppCase, class string, dur sim.Time) ([]float64, float64) {
-	eng := sim.NewEngine(o.Seed + 40)
-	app, err := services.NewApp(eng, spec)
-	if err != nil {
-		panic(err)
-	}
-	mgr := o.newCoreManager(spec, profiles)
-	if err := mgr.Run(app, c.Mix, c.TotalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
-		panic(err)
-	}
-	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-	gen.Start()
+// deployAndMeasureClass runs Ursa on a case and returns the end-to-end
+// latency samples of one class and the fraction of them over its SLA target.
+func (o *Options) deployAndMeasureClass(c AppCase, profiles map[string]*core.Profile, class string, dur sim.Time) ([]float64, float64, error) {
 	warm := 2 * sim.Minute
-	eng.RunUntil(warm + dur)
-	mgr.Stop()
-
-	rec := app.E2E.Class(class)
+	r, err := Run(Scenario{
+		Seed: o.Seed + 40, Spec: c.Spec, Mix: c.Mix,
+		Pattern: workload.Constant{Value: c.TotalRPS},
+		Manager: o.ursaWith(c, profiles), Warm: warm, Duration: dur,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	rec := r.App.E2E.Class(class)
 	if rec == nil {
-		return nil, 0
+		return nil, 0, nil
 	}
 	samples := rec.Between(warm, warm+dur)
-	cs := spec.Class(class)
+	cs := c.Spec.Class(class)
 	violated := 0
 	for _, v := range samples {
 		if v > cs.SLAMillis {
@@ -114,7 +115,7 @@ func (o *Options) deployAndMeasureClass(spec services.AppSpec, profiles map[stri
 	if len(samples) > 0 {
 		rate = float64(violated) / float64(len(samples))
 	}
-	return samples, rate
+	return samples, rate, nil
 }
 
 // CDF returns sorted (latency, cumulative fraction) pairs for rendering.

@@ -142,18 +142,27 @@ func GenerateCorpusCase(seed int64, i int) (AppCase, CorpusTopology, error) {
 
 // runCorpusCell deploys one (topology, system) cell. Generated topologies
 // are adversarial by design: a sampled SLA can be infeasible for a manager's
-// explored allocation space, and such a manager panics on deploy. The corpus
-// records that as a total SLA failure for the cell — a finding, not a crash.
+// explored allocation space, and such a manager fails its deploy — Ursa
+// through Run's error, a baseline by panicking in Attach, which has no error
+// return. The corpus records either as a total SLA failure for the cell — a
+// finding, not a crash.
 func runCorpusCell(opts Options, c AppCase, system string, dur sim.Time) (cell CorpusCell) {
 	cell = CorpusCell{Topology: c.Name, System: system}
+	failed := func(why any) {
+		opts.logf("figc1: %s / %s: deploy failed: %v", c.Name, system, why)
+		cell.ViolationRate, cell.AvgCPUs, cell.DeployFailed = 1, 0, true
+	}
 	defer func() {
 		if r := recover(); r != nil {
-			opts.logf("figc1: %s / %s: deploy failed: %v", c.Name, system, r)
-			cell.ViolationRate, cell.AvgCPUs, cell.DeployFailed = 1, 0, true
+			failed(r)
 		}
 	}()
 	mgr := opts.newManagerFor(c, system)
-	r := opts.runDeployment(c, mgr, workload.Constant{Value: c.TotalRPS}, c.Mix, dur)
+	r, err := Run(opts.deployment(c, mgr, workload.Constant{Value: c.TotalRPS}, c.Mix, dur))
+	if err != nil {
+		failed(err)
+		return cell
+	}
 	cell.ViolationRate, cell.AvgCPUs = r.ViolationRate, r.AvgCPUs
 	return cell
 }

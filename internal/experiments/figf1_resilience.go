@@ -4,44 +4,26 @@ import (
 	"fmt"
 	"strings"
 
-	"ursa/internal/baselines"
 	"ursa/internal/cluster"
-	"ursa/internal/faults"
 	"ursa/internal/services"
 	"ursa/internal/sim"
-	"ursa/internal/stats"
 	"ursa/internal/workload"
 )
 
-// ResilienceCell is one (system, scenario) deployment outcome of the Fig. F1
-// recovery experiment: the social-network app on the paper testbed, with and
-// without a mid-run node failure.
-type ResilienceCell struct {
+// OutageCell is one (system, scenario) outcome of an outage grid — Fig. F1's
+// node failure or Fig. R1's region failure — run with and without the outage.
+// Its Backlog exposes a wedged service (e.g. an entry tier no one restores)
+// even though that service's empty latency windows can't violate any SLA.
+type OutageCell struct {
 	System   string
-	Scenario string // "no-fault", "node-fail"
-
-	ViolationRate float64
-	// Availability is completed/(completed+failed) jobs over the whole run.
-	Availability float64
-	// RecoveryMin is how long after the failure the SLA was re-established
-	// (first of two consecutive clean minute windows): 0 for the no-fault
-	// scenario, -1 when the SLA never recovered within the run.
-	RecoveryMin   float64
-	AvgCPUs       float64
-	Retries       float64
-	Errors        float64
-	Evicted       int
-	Unschedulable int
-	// Backlog is jobs injected but neither completed nor failed when the run
-	// ends — a wedged service (e.g. an entry tier no one restores) shows up
-	// here even though its empty latency windows can't violate any SLA.
-	Backlog int
+	Scenario string // "no-fault", or the outage's name
+	Result
 }
 
 // ResilienceResult reproduces Fig. F1 — the chaos/recovery study, an axis the
 // paper's evaluation never exercises.
 type ResilienceResult struct {
-	Cells   []ResilienceCell
+	Cells   []OutageCell
 	FailAt  sim.Time
 	FailFor sim.Time
 }
@@ -54,8 +36,8 @@ func ResilienceSystems() []string { return []string{"ursa", "auto-a", "auto-b"} 
 // resiliencePolicy is the client-side retry policy every Fig. F1 cell runs
 // with — including the no-fault ones, so the comparison isolates the fault
 // itself rather than the cost of the resilience machinery.
-func resiliencePolicy() services.ResiliencePolicy {
-	return services.ResiliencePolicy{
+func resiliencePolicy() *services.ResiliencePolicy {
+	return &services.ResiliencePolicy{
 		TimeoutMs:     500,
 		MaxRetries:    3,
 		BackoffBaseMs: 20,
@@ -65,136 +47,79 @@ func resiliencePolicy() services.ResiliencePolicy {
 }
 
 // RunResilience executes the Fig. F1 grid: each system runs the
-// social-network app on the PaperTestbed cluster under constant load, once
-// undisturbed and once with the largest node (node-7, 88 CPUs) failing a
-// third of the way in and recovering a quarter-run later. Cells run
-// concurrently up to Options.Parallelism and merge in canonical order.
-func RunResilience(opts Options) ResilienceResult {
+// social-network app on the PaperTestbed cluster, bound to it so node
+// failures have real placements to evict, once undisturbed and once with the
+// largest node (node-7, 88 CPUs) failing.
+func RunResilience(opts Options) (ResilienceResult, error) {
 	opts.defaults()
-	dur := opts.scaleTime(30*sim.Minute, 10*sim.Minute)
-	warm := 2 * sim.Minute
-	failAt := warm + dur/3
-	failFor := dur / 4
+	cells, failAt, failFor, err := opts.outageGrid("figf1", "node-fail", Fault{Node: "node-7"}, ResilienceSystems(),
+		func(s *Scenario, _ string) { s.Cluster = cluster.PaperTestbed() })
+	return ResilienceResult{Cells: cells, FailAt: failAt, FailFor: failFor}, err
+}
 
+// outageGrid runs each system on the social network under constant load with
+// the retry policy armed, once undisturbed ("no-fault") and once with the
+// target failing a third of the way in and recovering a quarter-run later.
+// place binds a cell's scenario to its cluster or regions. Cells run
+// concurrently up to Options.Parallelism and merge in canonical order.
+func (o *Options) outageGrid(tag, outage string, target Fault, systems []string, place func(s *Scenario, system string)) (cells []OutageCell, failAt, failFor sim.Time, err error) {
+	dur := o.scaleTime(30*sim.Minute, 10*sim.Minute)
+	warm := 2 * sim.Minute
+	failAt, failFor = warm+dur/3, dur/4
 	c, _ := AppCaseByName("social-network")
-	scenarios := []string{"no-fault", "node-fail"}
 	type cellJob struct{ system, scen string }
 	var jobs []cellJob
-	for _, s := range ResilienceSystems() {
-		for _, scen := range scenarios {
-			jobs = append(jobs, cellJob{s, scen})
-		}
+	for _, s := range systems {
+		jobs = append(jobs, cellJob{s, "no-fault"}, cellJob{s, outage})
 	}
-
-	cells := make([]ResilienceCell, len(jobs))
-	opts.forEach(len(jobs), func(i int) {
+	cells = make([]OutageCell, len(jobs))
+	err = o.forEachErr(len(jobs), func(i int) error {
 		j := jobs[i]
-		mgr := opts.newManagerFor(c, j.system)
-		opts.logf("figf1: %s / %s", j.system, j.scen)
-		var sched faults.Schedule
-		if j.scen == "node-fail" {
-			sched.NodeFails = []faults.NodeFail{{Node: "node-7", At: failAt, For: failFor}}
+		o.logf("%s: %s / %s", tag, j.system, j.scen)
+		s := Scenario{
+			Seed: o.Seed + 1000, Spec: c.Spec, Mix: c.Mix,
+			Pattern: workload.Constant{Value: c.TotalRPS}, Manager: o.newManagerFor(c, j.system),
+			Resilience: resiliencePolicy(), Warm: warm, Duration: dur,
 		}
-		cells[i] = opts.runResilient(c, mgr, sched, warm, dur, failAt)
-		cells[i].System, cells[i].Scenario = j.system, j.scen
+		place(&s, j.system)
+		if j.scen == outage {
+			s.Fault = target
+			s.Fault.At, s.Fault.For = failAt, failFor
+		}
+		r, err := Run(s)
+		if err != nil {
+			return fmt.Errorf("%s: %s / %s: %w", tag, j.system, j.scen, err)
+		}
+		r.App = nil // cells outlive their run; do not pin its app
+		cells[i] = OutageCell{System: j.system, Scenario: j.scen, Result: r}
+		return nil
 	})
-	return ResilienceResult{Cells: cells, FailAt: failAt, FailFor: failFor}
-}
-
-// runResilient is runDeployment's fault-injecting sibling: the app is bound
-// to the paper testbed (node failures need real placements to evict), a
-// retry policy protects every RPC edge, and the injector arms the schedule
-// before load starts.
-func (o *Options) runResilient(c AppCase, mgr baselines.Manager, sched faults.Schedule, warm, dur sim.Time, failAt sim.Time) ResilienceCell {
-	eng := sim.NewEngine(o.Seed + 1000)
-	cl := cluster.PaperTestbed()
-	app, err := services.NewAppOnCluster(eng, c.Spec, cl)
-	if err != nil {
-		panic(err)
-	}
-	app.SetResilience(resiliencePolicy())
-	in := faults.New(eng, app, cl, sched)
-	in.Start()
-	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	end := warm + dur
-	eng.RunUntil(end)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	var retries, errors float64
-	for _, name := range app.ServiceNames() {
-		svc := app.Service(name)
-		retries += svc.RPCRetries.Total(0, end)
-		errors += svc.RPCErrors.Total(0, end)
-	}
-	cell := ResilienceCell{
-		ViolationRate: violationRate(app, c.Spec, warm, end),
-		Availability:  app.Availability(),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		Retries:       retries,
-		Errors:        errors,
-		Evicted:       in.Evicted,
-		Unschedulable: app.UnschedulableEvents,
-		Backlog:       app.InjectedJobs - app.CompletedJobs() - app.FailedJobs(),
-	}
-	if !sched.Empty() {
-		cell.RecoveryMin = recoveryMinutes(app, c.Spec, failAt, end)
-	}
-	return cell
-}
-
-// recoveryMinutes measures the time from the failure until the SLA is
-// re-established: the start of the first of two consecutive minute-aligned
-// windows in which every class with samples meets its SLA (two in a row so a
-// single lucky window during the outage does not count as recovery). Returns
-// -1 when no such pair exists before the run ends.
-func recoveryMinutes(app *services.App, spec services.AppSpec, failAt, end sim.Time) float64 {
-	start := failAt - failAt%sim.Minute
-	if start < failAt {
-		start += sim.Minute
-	}
-	clean := 0
-	for w := start; w+sim.Minute <= end; w += sim.Minute {
-		ok, any := true, false
-		for _, cs := range spec.Classes {
-			rec := app.E2E.Class(cs.Name)
-			if rec == nil {
-				continue
-			}
-			vals := rec.Between(w, w+sim.Minute)
-			if len(vals) == 0 {
-				continue
-			}
-			any = true
-			if stats.Percentile(vals, cs.SLAPercentile) > cs.SLAMillis {
-				ok = false
-			}
-		}
-		if ok && any {
-			clean++
-			if clean == 2 {
-				return (w - sim.Minute - failAt).Seconds() / 60
-			}
-		} else {
-			clean = 0
-		}
-	}
-	return -1
+	return cells, failAt, failFor, err
 }
 
 // Cell finds a specific result.
-func (r ResilienceResult) Cell(system, scenario string) (ResilienceCell, bool) {
-	for _, c := range r.Cells {
+func (r ResilienceResult) Cell(system, scenario string) (OutageCell, bool) {
+	return findCell(r.Cells, system, scenario)
+}
+
+func findCell(cells []OutageCell, system, scenario string) (OutageCell, bool) {
+	for _, c := range cells {
 		if c.System == system && c.Scenario == scenario {
 			return c, true
 		}
 	}
-	return ResilienceCell{}, false
+	return OutageCell{}, false
+}
+
+// recoveryText renders a cell's recovery column.
+func recoveryText(c OutageCell) string {
+	switch {
+	case c.Scenario == "no-fault":
+		return "-"
+	case c.RecoveryMin < 0:
+		return "never"
+	}
+	return fmt.Sprintf("%.0f min", c.RecoveryMin)
 }
 
 // Render prints the Fig. F1 table.
@@ -205,16 +130,8 @@ func (r ResilienceResult) Render() string {
 	fmt.Fprintf(&b, "%-8s %-10s %8s %8s %9s %8s %8s %8s %8s %8s %8s\n",
 		"system", "scenario", "viol%", "avail%", "recovery", "avgCPU", "retries", "errors", "evicted", "unsched", "backlog")
 	for _, c := range r.Cells {
-		rec := "-"
-		switch {
-		case c.Scenario == "no-fault":
-		case c.RecoveryMin < 0:
-			rec = "never"
-		default:
-			rec = fmt.Sprintf("%.0f min", c.RecoveryMin)
-		}
 		fmt.Fprintf(&b, "%-8s %-10s %7.1f%% %7.2f%% %9s %8.1f %8.0f %8.0f %8d %8d %8d\n",
-			c.System, c.Scenario, c.ViolationRate*100, c.Availability*100, rec,
+			c.System, c.Scenario, c.ViolationRate*100, c.Availability*100, recoveryText(c),
 			c.AvgCPUs, c.Retries, c.Errors, c.Evicted, c.Unschedulable, c.Backlog)
 	}
 	return b.String()

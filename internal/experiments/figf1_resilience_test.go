@@ -6,7 +6,10 @@ import (
 )
 
 func TestResilienceShapes(t *testing.T) {
-	r := RunResilience(quick())
+	r, err := RunResilience(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Cells) != len(ResilienceSystems())*2 {
 		t.Fatalf("cells = %d", len(r.Cells))
 	}
@@ -25,7 +28,7 @@ func TestResilienceShapes(t *testing.T) {
 		if fail.Evicted == 0 {
 			t.Errorf("%s node-fail: nothing evicted — node-7 held no replicas?", system)
 		}
-		for _, c := range []ResilienceCell{base, fail} {
+		for _, c := range []OutageCell{base, fail} {
 			if c.Availability <= 0 || c.Availability > 1 {
 				t.Errorf("%s/%s availability = %v", c.System, c.Scenario, c.Availability)
 			}
@@ -48,9 +51,12 @@ func TestResilienceParallelismInvariant(t *testing.T) {
 	seq.Parallelism = 1
 	par := quick()
 	par.Parallelism = 4
-	a := RunResilience(seq).Render()
-	b := RunResilience(par).Render()
-	if a != b {
+	a, errA := RunResilience(seq)
+	b, errB := RunResilience(par)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a, b := a.Render(), b.Render(); a != b {
 		t.Fatalf("output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}
 }
@@ -61,6 +67,8 @@ func BenchmarkResilience(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := quick()
 		opts.Parallelism = 1
-		RunResilience(opts)
+		if _, err := RunResilience(opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,41 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"ursa/internal/baselines"
-	"ursa/internal/cluster"
 	"ursa/internal/region"
 	"ursa/internal/sim"
-	"ursa/internal/workload"
 )
 
-// RegionCell is one (system, scenario) outcome of the Fig. R1 region-failover
-// experiment: the social-network app spread over three geo-regions, with and
-// without a whole-region outage mid-run.
-type RegionCell struct {
-	System   string
-	Scenario string // "no-fault", "region-fail"
-
-	ViolationRate float64
-	Availability  float64
-	// RecoveryMin is minutes from the region failure until the SLA was
-	// re-established (first of two consecutive clean minute windows); 0 for
-	// the no-fault scenario, -1 when the SLA never recovered within the run.
-	RecoveryMin   float64
-	AvgCPUs       float64
-	Retries       float64
-	Errors        float64
-	Evicted       int
-	Unschedulable int
-	// Spilled counts replicas placed outside their home region; WANHops
-	// counts cross-region RPC deliveries that paid WAN latency.
-	Spilled int
-	WANHops int
-	Backlog int
-}
-
-// RegionFailoverResult is the full Fig. R1 output.
+// RegionFailoverResult is the full Fig. R1 output: the social-network app
+// spread over three geo-regions, with and without a whole-region outage.
 type RegionFailoverResult struct {
-	Cells   []RegionCell
+	Cells   []OutageCell
 	Region  string // the failed region
 	FailAt  sim.Time
 	FailFor sim.Time
@@ -95,96 +68,20 @@ func SocialNetworkRegions() region.Topology {
 // calls into eu-west, so the outage is total unless the manager can re-place
 // the storage tier elsewhere. Cells run concurrently up to
 // Options.Parallelism and merge in canonical order.
-func RunRegionFailover(opts Options) RegionFailoverResult {
+func RunRegionFailover(opts Options) (RegionFailoverResult, error) {
 	opts.defaults()
-	dur := opts.scaleTime(30*sim.Minute, 10*sim.Minute)
-	warm := 2 * sim.Minute
-	failAt := warm + dur/3
-	failFor := dur / 4
 	const failed = "eu-west"
-
-	c, _ := AppCaseByName("social-network")
-	scenarios := []string{"no-fault", "region-fail"}
-	type cellJob struct{ system, scen string }
-	var jobs []cellJob
-	for _, s := range RegionSystems() {
-		for _, scen := range scenarios {
-			jobs = append(jobs, cellJob{s, scen})
-		}
-	}
-
-	cells := make([]RegionCell, len(jobs))
-	opts.forEach(len(jobs), func(i int) {
-		j := jobs[i]
-		mgr := opts.newManagerFor(c, j.system)
-		opts.logf("figr1: %s / %s", j.system, j.scen)
-		cells[i] = opts.runRegionCell(c, mgr, j.system == "ursa", j.scen == "region-fail",
-			failed, warm, dur, failAt, failFor)
-		cells[i].System, cells[i].Scenario = j.system, j.scen
-	})
-	return RegionFailoverResult{Cells: cells, Region: failed, FailAt: failAt, FailFor: failFor}
-}
-
-// runRegionCell is runResilient's geo sibling: the app deploys through
-// region.Deploy (placement pinned from the first replica), the WAN injector
-// delays cross-region RPC, and the outage is driven by FailRegion — every
-// node of the region at once — instead of a single faults.NodeFail.
-func (o *Options) runRegionCell(c AppCase, mgr baselines.Manager, spill, fail bool,
-	failed string, warm, dur, failAt, failFor sim.Time) RegionCell {
-	eng := sim.NewEngine(o.Seed + 1000)
-	app, m, err := region.Deploy(eng, c.Spec, SocialNetworkRegions(), cluster.WorstFit, spill)
-	if err != nil {
-		panic(err)
-	}
-	app.SetResilience(resiliencePolicy())
-	evicted := 0
-	if fail {
-		eng.Schedule(failAt, func() { evicted = m.FailRegion(failed) })
-		eng.Schedule(failAt+failFor, func() { m.RecoverRegion(failed) })
-	}
-	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	end := warm + dur
-	eng.RunUntil(end)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	var retries, errors float64
-	for _, name := range app.ServiceNames() {
-		svc := app.Service(name)
-		retries += svc.RPCRetries.Total(0, end)
-		errors += svc.RPCErrors.Total(0, end)
-	}
-	cell := RegionCell{
-		ViolationRate: violationRate(app, c.Spec, warm, end),
-		Availability:  app.Availability(),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		Retries:       retries,
-		Errors:        errors,
-		Evicted:       evicted,
-		Unschedulable: app.UnschedulableEvents,
-		Spilled:       m.Spilled,
-		WANHops:       m.WANHops,
-		Backlog:       app.InjectedJobs - app.CompletedJobs() - app.FailedJobs(),
-	}
-	if fail {
-		cell.RecoveryMin = recoveryMinutes(app, c.Spec, failAt, end)
-	}
-	return cell
+	cells, failAt, failFor, err := opts.outageGrid("figr1", "region-fail", Fault{Region: failed}, RegionSystems(),
+		func(s *Scenario, system string) {
+			s.Regions = SocialNetworkRegions()
+			s.Regions.Spill = system == "ursa"
+		})
+	return RegionFailoverResult{Cells: cells, Region: failed, FailAt: failAt, FailFor: failFor}, err
 }
 
 // Cell finds a specific result.
-func (r RegionFailoverResult) Cell(system, scenario string) (RegionCell, bool) {
-	for _, c := range r.Cells {
-		if c.System == system && c.Scenario == scenario {
-			return c, true
-		}
-	}
-	return RegionCell{}, false
+func (r RegionFailoverResult) Cell(system, scenario string) (OutageCell, bool) {
+	return findCell(r.Cells, system, scenario)
 }
 
 // Render prints the Fig. R1 table.
@@ -195,16 +92,8 @@ func (r RegionFailoverResult) Render() string {
 	fmt.Fprintf(&b, "%-8s %-12s %8s %8s %9s %8s %8s %8s %8s %8s %8s %8s\n",
 		"system", "scenario", "viol%", "avail%", "recovery", "avgCPU", "evicted", "unsched", "spilled", "wanhops", "retries", "backlog")
 	for _, c := range r.Cells {
-		rec := "-"
-		switch {
-		case c.Scenario == "no-fault":
-		case c.RecoveryMin < 0:
-			rec = "never"
-		default:
-			rec = fmt.Sprintf("%.0f min", c.RecoveryMin)
-		}
 		fmt.Fprintf(&b, "%-8s %-12s %7.1f%% %7.2f%% %9s %8.1f %8d %8d %8d %8d %8.0f %8d\n",
-			c.System, c.Scenario, c.ViolationRate*100, c.Availability*100, rec,
+			c.System, c.Scenario, c.ViolationRate*100, c.Availability*100, recoveryText(c),
 			c.AvgCPUs, c.Evicted, c.Unschedulable, c.Spilled, c.WANHops, c.Retries, c.Backlog)
 	}
 	return b.String()

@@ -6,10 +6,14 @@ import (
 )
 
 func TestRegionFailoverShapes(t *testing.T) {
-	r := RunRegionFailover(quick())
+	r, err := RunRegionFailover(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Cells) != len(RegionSystems())*2 {
 		t.Fatalf("cells = %d", len(r.Cells))
 	}
+	assertGolden(t, "testdata/figr1.golden", r.Render())
 	for _, system := range RegionSystems() {
 		base, ok := r.Cell(system, "no-fault")
 		if !ok {
@@ -25,7 +29,7 @@ func TestRegionFailoverShapes(t *testing.T) {
 		if fail.Evicted == 0 {
 			t.Errorf("%s region-fail: nothing evicted — eu-west held no replicas?", system)
 		}
-		for _, c := range []RegionCell{base, fail} {
+		for _, c := range []OutageCell{base, fail} {
 			if c.Availability <= 0 || c.Availability > 1 {
 				t.Errorf("%s/%s availability = %v", c.System, c.Scenario, c.Availability)
 			}
@@ -120,7 +124,12 @@ func TestRegionParallelismInvariant(t *testing.T) {
 	seq.Parallelism = 1
 	par := quick()
 	par.Parallelism = 4
-	if a, b := RunRegionFailover(seq).Render(), RunRegionFailover(par).Render(); a != b {
+	a, errA := RunRegionFailover(seq)
+	b, errB := RunRegionFailover(par)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if a, b := a.Render(), b.Render(); a != b {
 		t.Fatalf("figr1 output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}
 	if a, b := RunFollowTheSun(seq).Render(), RunFollowTheSun(par).Render(); a != b {
@@ -134,7 +143,9 @@ func BenchmarkRegion(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := quick()
 		opts.Parallelism = 1
-		RunRegionFailover(opts)
+		if _, err := RunRegionFailover(opts); err != nil {
+			b.Fatal(err)
+		}
 		RunFollowTheSun(opts)
 	}
 }

@@ -111,7 +111,7 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 		}
 		spec := c.Spec
 		spec.Name = c.Spec.Name + "-" + home
-		app, err := services.NewAppOnClusterPlaced(eng, spec, cl, m)
+		app, err := services.NewAppWith(eng, spec, services.AppOptions{Cluster: cl, Placer: m})
 		if err != nil {
 			panic(err)
 		}
@@ -159,12 +159,13 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 	cells := make([]SunCell, len(tenants))
 	for i, t := range tenants {
 		t.mgr.Detach()
+		_, viol := measureSLA(t.app, warm, end)
 		cells[i] = SunCell{
 			System:        system,
 			Region:        regions[i],
-			ViolationRate: violationRate(t.app, t.app.Spec, warm, end),
+			ViolationRate: viol,
 			Availability:  t.app.Availability(),
-			AvgCPUs:       (t.app.AllocIntegralCPUSeconds() - allocStart[i]) / dur.Seconds(),
+			AvgCPUs:       avgCPUs(t.app, allocStart[i], dur),
 			PeakCPUs:      peaks[i],
 			Unschedulable: t.app.UnschedulableEvents,
 			Spilled:       t.m.Spilled,

@@ -189,7 +189,8 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 		eng.RunUntil(warm + dur)
 		viol := 0.0
 		for _, ten := range admitted {
-			viol += violationRate(ten.App, ten.App.Spec, warm, warm+dur)
+			_, v := measureSLA(ten.App, warm, warm+dur)
+			viol += v
 		}
 		cell.ViolationRate = viol / float64(len(admitted))
 		cell.DecisionMs = arb.AvgDecisionMillis()

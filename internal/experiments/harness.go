@@ -211,13 +211,6 @@ func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*c
 	return ex, profiles, sum
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ursaManager builds a ready-to-attach Ursa manager for an app case.
 type ursaAdapter struct {
 	mgr      *core.Manager
@@ -226,9 +219,20 @@ type ursaAdapter struct {
 }
 
 func (u *ursaAdapter) Name() string { return "ursa" }
-func (u *ursaAdapter) Attach(app *services.App) {
+
+// Deploy solves the model and starts Ursa's control loop on app; Run
+// returns a failed solve as an error.
+func (u *ursaAdapter) Deploy(app *services.App) error {
 	if err := u.mgr.Run(app, u.mix, u.totalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
-		panic(fmt.Sprintf("ursa deploy failed: %v", err))
+		return fmt.Errorf("ursa deploy failed: %w", err)
+	}
+	return nil
+}
+
+// Attach is Deploy for callers outside Run, which have no error path.
+func (u *ursaAdapter) Attach(app *services.App) {
+	if err := u.Deploy(app); err != nil {
+		panic(err)
 	}
 }
 func (u *ursaAdapter) Detach() { u.mgr.Stop() }
@@ -247,8 +251,12 @@ var _ baselines.Manager = (*ursaAdapter)(nil)
 // newUrsa prepares Ursa (exploration + model) for a case.
 func (o *Options) newUrsa(c AppCase) *ursaAdapter {
 	_, profiles, _ := o.ursaProfiles(c)
-	mgr := o.newCoreManager(c.Spec, profiles)
-	return &ursaAdapter{mgr: mgr, mix: c.Mix, totalRPS: c.TotalRPS}
+	return o.ursaWith(c, profiles)
+}
+
+// ursaWith builds Ursa for a case from already-explored profiles.
+func (o *Options) ursaWith(c AppCase, profiles map[string]*core.Profile) *ursaAdapter {
+	return &ursaAdapter{mgr: o.newCoreManager(c.Spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
 }
 
 // newCoreManager builds an Ursa manager with the harness-level fast-path
@@ -330,22 +338,14 @@ func (o *Options) UrsaProfiles(c AppCase) (*core.Explorer, map[string]*core.Prof
 	return o.ursaProfiles(c)
 }
 
-// NewUrsaManager prepares Ursa (profiling + exploration + model) for a case.
-func (o *Options) NewUrsaManager(c AppCase) baselines.Manager {
+// NewManager prepares a fresh manager of one of Systems() for a case:
+// exploration for Ursa, data collection and training for Sinan and Firm.
+func (o *Options) NewManager(c AppCase, system string) (baselines.Manager, error) {
 	o.defaults()
-	return o.newUrsa(c)
-}
-
-// NewSinanManager collects data and trains Sinan for a case.
-func (o *Options) NewSinanManager(c AppCase) baselines.Manager {
-	o.defaults()
-	return o.newSinan(c)
-}
-
-// NewFirmManager pretrains Firm for a case.
-func (o *Options) NewFirmManager(c AppCase) baselines.Manager {
-	o.defaults()
-	return o.newFirm(c)
+	if !contains(Systems(), system) {
+		return nil, fmt.Errorf("unknown system %q", system)
+	}
+	return o.newManagerFor(c, system), nil
 }
 
 // autoscaleA and autoscaleB build the two autoscaling baselines.
@@ -361,64 +361,11 @@ func specServiceNames(spec services.AppSpec) []string {
 	return out
 }
 
-// deployResult is the outcome of one managed deployment run.
-type deployResult struct {
-	ViolationRate float64
-	AvgCPUs       float64
-	DecisionMs    float64
-}
-
-// runDeployment attaches a manager to a fresh app, drives the load pattern
-// for the given duration, and measures the §VII-E metrics: per-window SLA
-// violation rate and average allocated CPUs.
-func (o *Options) runDeployment(c AppCase, mgr baselines.Manager, pattern workload.Pattern, mix workload.Mix, dur sim.Time) deployResult {
-	eng := sim.NewEngine(o.Seed + 1000)
-	app, err := services.NewApp(eng, c.Spec)
-	if err != nil {
-		panic(err)
+// deployment is the §VII-E comparison scenario: one case on an uncapacitated
+// deployment under a manager, two minutes of warm-up, then dur measured.
+func (o *Options) deployment(c AppCase, mgr baselines.Manager, pattern workload.Pattern, mix workload.Mix, dur sim.Time) Scenario {
+	return Scenario{
+		Seed: o.Seed + 1000, Spec: c.Spec, Mix: mix, Pattern: pattern, Manager: mgr,
+		Warm: 2 * sim.Minute, Duration: dur,
 	}
-	gen := workload.New(eng, app, pattern, mix)
-	gen.Start()
-	mgr.Attach(app)
-
-	warm := 2 * sim.Minute
-	eng.RunUntil(warm)
-	allocStart := app.AllocIntegralCPUSeconds()
-	eng.RunUntil(warm + dur)
-	allocEnd := app.AllocIntegralCPUSeconds()
-	mgr.Detach()
-
-	return deployResult{
-		ViolationRate: violationRate(app, c.Spec, warm, warm+dur),
-		AvgCPUs:       (allocEnd - allocStart) / dur.Seconds(),
-		DecisionMs:    mgr.AvgDecisionMillis(),
-	}
-}
-
-// violationRate computes the per-(class, window) violation fraction over
-// whole one-minute windows. A trailing partial window (when the scaled
-// duration is not minute-aligned) is dropped rather than counted: its
-// percentile rests on a fraction of a window's samples, which would skew the
-// denominator at small Scale.
-func violationRate(app *services.App, spec services.AppSpec, from, to sim.Time) float64 {
-	total, violated := 0, 0
-	for _, cs := range spec.Classes {
-		rec := app.E2E.Class(cs.Name)
-		if rec == nil {
-			continue
-		}
-		for w := from; w+sim.Minute <= to; w += sim.Minute {
-			if rec.Count(w, w+sim.Minute) == 0 {
-				continue
-			}
-			total++
-			if rec.PercentileBetween(w, w+sim.Minute, cs.SLAPercentile) > cs.SLAMillis {
-				violated++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(violated) / float64(total)
 }

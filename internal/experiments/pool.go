@@ -72,6 +72,20 @@ func (o *Options) forEach(n int, fn func(i int)) {
 	}
 }
 
+// forEachErr is forEach for fallible tasks: every task runs, and the error
+// of the lowest-indexed failing task is returned, so the reported failure
+// does not depend on scheduling.
+func (o *Options) forEachErr(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	o.forEach(n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ForEach exposes the bounded worker pool to callers that orchestrate
 // several experiments at once (e.g. cmd/ursa-bench -exp all): fn(i) runs for
 // every i in [0, n) on at most opts.Parallelism workers. Callers must write

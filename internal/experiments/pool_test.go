@@ -137,8 +137,11 @@ func TestComparisonParallelDeterminism(t *testing.T) {
 
 	seqOpts := Options{Seed: 1, Scale: 0.25, Parallelism: 1}
 	parOpts := Options{Seed: 1, Scale: 0.25, Parallelism: 8}
-	seq := RunComparison(seqOpts, apps, systems)
-	par := RunComparison(parOpts, apps, systems)
+	seq, errSeq := RunComparison(seqOpts, apps, systems)
+	par, errPar := RunComparison(parOpts, apps, systems)
+	if errSeq != nil || errPar != nil {
+		t.Fatal(errSeq, errPar)
+	}
 
 	if len(seq.Cells) == 0 || len(seq.Cells) != len(par.Cells) {
 		t.Fatalf("cell counts differ: %d vs %d", len(seq.Cells), len(par.Cells))

@@ -5,10 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"ursa/internal/baselines"
 	"ursa/internal/baselines/firm"
 	"ursa/internal/core"
 	"ursa/internal/mip"
-	"ursa/internal/services"
 	"ursa/internal/sim"
 	"ursa/internal/workload"
 )
@@ -31,18 +31,14 @@ type ControlPlaneResult struct {
 // and running the systems concurrently would distort it through CPU
 // contention. Manager preparation still reuses the shared trained-prototype
 // caches, so nothing is retrained here.
-func RunControlPlane(opts Options) ControlPlaneResult {
+func RunControlPlane(opts Options) (ControlPlaneResult, error) {
 	opts.defaults()
 	c, _ := AppCaseByName("social-network")
 	res := ControlPlaneResult{DeployMs: map[string]float64{}, UpdateMs: map[string]float64{}}
 
 	dur := opts.scaleTime(15*sim.Minute, 6*sim.Minute)
 	ursa := opts.newUrsa(c)
-	mgrs := map[string]interface {
-		Attach(*services.App)
-		Detach()
-		AvgDecisionMillis() float64
-	}{
+	mgrs := map[string]baselines.Manager{
 		"ursa":   ursa,
 		"sinan":  opts.newSinan(c),
 		"firm":   opts.newFirm(c),
@@ -50,18 +46,15 @@ func RunControlPlane(opts Options) ControlPlaneResult {
 	}
 	for _, name := range []string{"ursa", "sinan", "firm", "auto-a"} {
 		opts.logf("tab6: measuring %s deployment decisions", name)
-		mgr := mgrs[name]
-		eng := sim.NewEngine(opts.Seed + 20)
-		app, err := services.NewApp(eng, c.Spec)
+		r, err := Run(Scenario{
+			Seed: opts.Seed + 20, Spec: c.Spec, Mix: c.Mix,
+			Pattern: workload.Constant{Value: c.TotalRPS}, Manager: mgrs[name],
+			Duration: dur,
+		})
 		if err != nil {
-			panic(err)
+			return res, fmt.Errorf("tab6: %s: %w", name, err)
 		}
-		gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
-		gen.Start()
-		mgr.Attach(app)
-		eng.RunUntil(dur)
-		mgr.Detach()
-		res.DeployMs[name] = mgr.AvgDecisionMillis()
+		res.DeployMs[name] = r.DecisionMs
 	}
 
 	// Update latencies.
@@ -75,7 +68,7 @@ func RunControlPlane(opts Options) ControlPlaneResult {
 	}
 	start := time.Now()
 	if _, err := model.Solve(); err != nil {
-		panic(err)
+		return res, fmt.Errorf("tab6: ursa re-solve: %w", err)
 	}
 	res.UpdateMs["ursa"] = float64(time.Since(start).Nanoseconds()) / 1e6
 
@@ -87,7 +80,7 @@ func RunControlPlane(opts Options) ControlPlaneResult {
 	// minutes on a GPU (N/A for the online path).
 	res.UpdateMs["sinan"] = -1
 
-	return res
+	return res, nil
 }
 
 // SolveGenericMIP exposes the exact MIP (1) formulation through the generic

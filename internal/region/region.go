@@ -106,9 +106,9 @@ type Map struct {
 // New validates the topology against a grouped cluster and builds the region
 // map's placement state — home bindings, spill order, WAN table — without
 // touching any app. The returned Map can serve PlaceReplica immediately, so
-// it can be handed to services.NewAppOnClusterPlaced and then completed with
-// Bind once the app exists. New rejects an empty topology; callers wanting
-// the install-nothing behaviour use Install.
+// it can be handed to services.NewAppWith as AppOptions.Placer and then
+// completed with Bind once the app exists. New rejects an empty topology;
+// callers wanting the install-nothing behaviour use Install.
 func New(topo Topology, cl *cluster.Cluster) (*Map, error) {
 	if topo.Empty() {
 		return nil, fmt.Errorf("region: empty topology")
@@ -189,8 +189,7 @@ func (m *Map) Bind(eng *sim.Engine, app *services.App) {
 // Installing an empty topology is a no-op and returns (nil, nil) — the
 // zero-region world stays byte-identical to a build without this package.
 // Replicas placed before Install keep their nodes; use Deploy (or
-// NewAppOnClusterPlaced + New/Bind) when deployment-time replicas must pin
-// too.
+// NewAppWith + New/Bind) when deployment-time replicas must pin too.
 func Install(eng *sim.Engine, app *services.App, topo Topology) (*Map, error) {
 	if topo.Empty() {
 		return nil, nil
@@ -219,7 +218,7 @@ func Deploy(eng *sim.Engine, spec services.AppSpec, topo Topology, strategy clus
 	if err != nil {
 		return nil, nil, err
 	}
-	app, err := services.NewAppOnClusterPlaced(eng, spec, cl, m)
+	app, err := services.NewAppWith(eng, spec, services.AppOptions{Cluster: cl, Placer: m})
 	if err != nil {
 		return nil, nil, err
 	}

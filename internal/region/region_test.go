@@ -267,7 +267,7 @@ func TestInnerInjectorChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := services.NewAppOnClusterPlaced(eng, geoSpec(), cl, m)
+	app, err := services.NewAppWith(eng, geoSpec(), services.AppOptions{Cluster: cl, Placer: m})
 	if err != nil {
 		t.Fatal(err)
 	}

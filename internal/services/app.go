@@ -82,46 +82,44 @@ type Eviction struct {
 	Replicas int
 }
 
+// AppOptions configures NewAppWith. The zero value is NewApp: the default
+// one-minute metrics window, no cluster, exact telemetry, no placer.
+type AppOptions struct {
+	// Window is the metrics window (0 = metrics.DefaultWindow). Exploration
+	// and profiling harnesses use finer windows so their sampling cadence and
+	// the metric buckets stay aligned.
+	Window sim.Time
+	// Cluster, when non-nil, places replicas on (and bounds them by) a
+	// physical cluster.
+	Cluster *cluster.Cluster
+	// Telemetry selects the latency collectors (see TelemetryConfig).
+	Telemetry TelemetryConfig
+	// Placer, when non-nil, is installed before the initial replicas deploy,
+	// so deployment-time placement goes through it too (a region map pins
+	// even the first replica of every service to its home region).
+	Placer Placer
+}
+
 // NewApp validates the spec and deploys the application with its initial
 // replica counts. Metrics are sampled once per metrics window (1 simulated
 // minute, matching the paper's sampling frequency).
 func NewApp(eng *sim.Engine, spec AppSpec) (*App, error) {
-	return NewAppWindow(eng, spec, metrics.DefaultWindow)
+	return NewAppWith(eng, spec, AppOptions{})
 }
 
 // NewAppOnCluster deploys an application whose replicas are placed on (and
 // bounded by) a physical cluster.
 func NewAppOnCluster(eng *sim.Engine, spec AppSpec, cl *cluster.Cluster) (*App, error) {
-	return newApp(eng, spec, metrics.DefaultWindow, cl)
+	return NewAppWith(eng, spec, AppOptions{Cluster: cl})
 }
 
-// NewAppOnClusterPlaced is NewAppOnCluster with a replica placer installed
-// before the initial replicas deploy, so deployment-time placement goes
-// through it too (a region map pins even the first replica of every service
-// to its home region).
-func NewAppOnClusterPlaced(eng *sim.Engine, spec AppSpec, cl *cluster.Cluster, p Placer) (*App, error) {
-	return newAppPlaced(eng, spec, metrics.DefaultWindow, cl, TelemetryConfig{}, p)
-}
-
-// NewAppWindow is NewApp with a custom metrics window. Exploration and
-// profiling harnesses use finer windows so their sampling cadence and the
-// metric buckets stay aligned.
-func NewAppWindow(eng *sim.Engine, spec AppSpec, window sim.Time) (*App, error) {
-	return newApp(eng, spec, window, nil)
-}
-
-func newApp(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster) (*App, error) {
-	return newAppTelemetry(eng, spec, window, cl, TelemetryConfig{})
-}
-
-func newAppTelemetry(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig) (*App, error) {
-	return newAppPlaced(eng, spec, window, cl, tc, nil)
-}
-
-func newAppPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig, p Placer) (*App, error) {
+// NewAppWith validates the spec and deploys the application with its initial
+// replica counts under the given options.
+func NewAppWith(eng *sim.Engine, spec AppSpec, o AppOptions) (*App, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	window := o.Window
 	if window <= 0 {
 		window = metrics.DefaultWindow
 	}
@@ -130,9 +128,9 @@ func newAppPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cl
 		Spec:      spec,
 		services:  map[string]*Service{},
 		window:    window,
-		Cluster:   cl,
-		Placer:    p,
-		telemetry: tc,
+		Cluster:   o.Cluster,
+		Placer:    o.Placer,
+		telemetry: o.Telemetry,
 	}
 	a.E2E = a.newLatencyRecorder()
 	for _, ss := range spec.Services {

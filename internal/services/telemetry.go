@@ -1,7 +1,6 @@
 package services
 
 import (
-	"ursa/internal/cluster"
 	"ursa/internal/metrics"
 	"ursa/internal/sim"
 )
@@ -23,18 +22,6 @@ type TelemetryConfig struct {
 	// ring-buffer style — the hard bound when Retention alone is not enough
 	// (e.g. a collector fed from a paused sampler).
 	MaxWindows int
-}
-
-// NewAppTelemetry deploys an application with an explicit telemetry
-// configuration; cl may be nil for an uncapacitated deployment.
-func NewAppTelemetry(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig) (*App, error) {
-	return newAppTelemetry(eng, spec, window, cl, tc)
-}
-
-// NewAppTelemetryPlaced is NewAppTelemetry with a replica placer installed
-// before the initial replicas deploy (see NewAppOnClusterPlaced).
-func NewAppTelemetryPlaced(eng *sim.Engine, spec AppSpec, window sim.Time, cl *cluster.Cluster, tc TelemetryConfig, p Placer) (*App, error) {
-	return newAppPlaced(eng, spec, window, cl, tc, p)
 }
 
 // Telemetry reports the app's telemetry configuration.

@@ -11,7 +11,7 @@ import (
 // under a telemetry config, and returns the app.
 func runTelemetryApp(tc TelemetryConfig, minutes int) *App {
 	eng := sim.NewEngine(77)
-	app, err := NewAppTelemetry(eng, oneTierSpec(2), 0, nil, tc)
+	app, err := NewAppWith(eng, oneTierSpec(2), AppOptions{Telemetry: tc})
 	if err != nil {
 		panic(err)
 	}
