@@ -41,7 +41,7 @@ bench-core:
 	@echo wrote BENCH_simcore.json
 
 # bench-decision runs the control-plane decision-path benchmarks: the
-# optimised solver vs the retained reference implementation (the headline
+# optimised solver vs the reference implementation kept as a test oracle (the headline
 # Solve/SolveReference ratio), the window estimator and the incremental
 # re-solve fast path. Diff BENCH_decision.json to spot decision-latency
 # regressions.
@@ -77,10 +77,9 @@ bench-telemetry:
 
 # bench-throughput runs the single-run throughput headline: a 10×-scale
 # social-network app at 1000 RPS, reporting wall-clock events/sec and heap
-# allocations per injected request for the default fast path ("fused":
-# batched arrivals + pooled step frames) and the retained pre-PR
-# implementation ("reference"). Diff BENCH_throughput.json to track the
-# events/sec trajectory PR over PR.
+# allocations per injected request for the execution path ("fused":
+# batched arrivals + pooled step frames). Diff BENCH_throughput.json to
+# track the events/sec trajectory PR over PR.
 bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkThroughput' -benchtime=3x \
 		-benchmem ./internal/experiments \

@@ -85,7 +85,10 @@ func BenchmarkFig09ModelAccuracy(b *testing.B) {
 		topology.ObjectDetect, topology.SentimentAnalysis,
 	}
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAccuracy(benchOpts(), c, classes)
+		r, err := experiments.RunAccuracy(benchOpts(), c, classes)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.Ratio[topology.UploadPost], "upload_post_est_over_meas")
 		b.ReportMetric(r.Ratio[topology.ObjectDetect], "object_detect_est_over_meas")
 	}
@@ -97,7 +100,10 @@ func BenchmarkFig10ModelAccuracy(b *testing.B) {
 	c, _ := experiments.AppCaseByName("video-pipeline")
 	classes := []string{topology.HighPriority, topology.LowPriority}
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunAccuracy(benchOpts(), c, classes)
+		r, err := experiments.RunAccuracy(benchOpts(), c, classes)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.Ratio[topology.HighPriority], "high_est_over_meas")
 		b.ReportMetric(r.Ratio[topology.LowPriority], "low_est_over_meas")
 	}

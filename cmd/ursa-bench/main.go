@@ -95,16 +95,16 @@ func main() {
 	run("tab5", func() string { return experiments.RunExploration(opts).Render() })
 	run("fig9", func() string {
 		c, _ := experiments.AppCaseByName("social-network")
-		return experiments.RunAccuracy(opts, c, []string{
+		return rendered(experiments.RunAccuracy(opts, c, []string{
 			topology.UploadPost, topology.UpdateTimeline,
 			topology.ObjectDetect, topology.SentimentAnalysis,
-		}).Render()
+		}))
 	})
 	run("fig10", func() string {
 		c, _ := experiments.AppCaseByName("video-pipeline")
-		return experiments.RunAccuracy(opts, c, []string{
+		return rendered(experiments.RunAccuracy(opts, c, []string{
 			topology.HighPriority, topology.LowPriority,
-		}).Render()
+		}))
 	})
 	run("fig11", func() string { return rendered(experiments.RunComparison(opts, appFilter, sysFilter)) })
 	run("fig13", func() string { return rendered(experiments.RunDiurnal(opts)) })
@@ -116,7 +116,11 @@ func main() {
 	run("figc1", func() string {
 		r := experiments.RunCorpus(opts, experiments.CorpusParams{N: *corpusN, Systems: sysFilter})
 		if *corpusJSON != "" {
-			if err := os.WriteFile(*corpusJSON, r.JSON(), 0o644); err != nil {
+			data, err := r.JSON()
+			if err != nil {
+				fatal(err)
+			}
+			if err := os.WriteFile(*corpusJSON, data, 0o644); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *corpusJSON)

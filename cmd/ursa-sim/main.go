@@ -39,7 +39,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -62,12 +61,12 @@ import (
 
 // options holds one invocation's parsed flags.
 type options struct {
-	appName, system, load, specFile, topoFile, dumpTopo    string
+	appName, system, load, topoFile, dumpTopo              string
 	failNode, failRegion, telemetry, traceOut, metricsOut  string
 	cpuProfile, memProfile                                 string
 	minutes, parallel, retention, traceSample              int
 	seed                                                   int64
-	rpsMult, scale, baseRPS, failAt, failFor, sketchAlpha  float64
+	rpsMult, scale, failAt, failFor, sketchAlpha           float64
 	quiet, noFast, validate, resilience, useRegions, spill bool
 	args                                                   []string
 }
@@ -86,8 +85,6 @@ func parseFlags(args []string) *options {
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress progress logging")
 	fs.BoolVar(&o.noFast, "no-fast-resolve", false, "disable ursa's incremental re-solve fast path (full model solve on every Optimize)")
-	fs.StringVar(&o.specFile, "spec", "", "load a custom application spec from a JSON file (overrides -app; rate via -basirps)")
-	fs.Float64Var(&o.baseRPS, "basirps", 100, "nominal RPS for a -spec application")
 	fs.StringVar(&o.topoFile, "topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
 	fs.StringVar(&o.dumpTopo, "dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
 	fs.BoolVar(&o.validate, "validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
@@ -181,23 +178,6 @@ func (o *options) appCase() (experiments.AppCase, region.Topology, error) {
 		}
 		return experiments.AppCase{Name: compiled.Spec.Name, Spec: compiled.Spec,
 			Mix: compiled.Mix, TotalRPS: compiled.Rate}, compiled.Regions, nil
-	case o.specFile != "":
-		data, err := os.ReadFile(o.specFile)
-		if err != nil {
-			return experiments.AppCase{}, none, err
-		}
-		var appSpec services.AppSpec
-		if err := json.Unmarshal(data, &appSpec); err != nil {
-			return experiments.AppCase{}, none, fmt.Errorf("decoding %s: %w", o.specFile, err)
-		}
-		if err := appSpec.Validate(); err != nil {
-			return experiments.AppCase{}, none, fmt.Errorf("spec invalid: %w", err)
-		}
-		mix := workload.Mix{}
-		for _, class := range appSpec.EntryClasses() {
-			mix[class] = 1
-		}
-		return experiments.AppCase{Name: appSpec.Name, Spec: appSpec, Mix: mix, TotalRPS: o.baseRPS}, none, nil
 	}
 	c, ok := experiments.AppCaseByName(o.appName)
 	if !ok {

@@ -40,19 +40,23 @@ func TestScenarioInputErrors(t *testing.T) {
 
 // TestReportGoldens pins ursa-sim's report byte-for-byte. The wall-clock
 // decision-latency line is the only non-deterministic output and is dropped.
+// The two-tier row pins the declarative JSON spec path (-topology).
 func TestReportGoldens(t *testing.T) {
-	base := []string{"-app", "social-network", "-system", "ursa", "-minutes", "8", "-scale", "0.25", "-q"}
+	social := func(extra ...string) []string {
+		return append([]string{"-app", "social-network", "-system", "ursa", "-minutes", "8", "-scale", "0.25", "-q"}, extra...)
+	}
 	cases := []struct {
 		golden string
 		args   []string
 	}{
-		{"testdata/ursa.golden", nil},
-		{"testdata/fail_node.golden", []string{"-fail-node", "node-7", "-resilience", "-fail-at", "2", "-fail-for", "3"}},
+		{"testdata/ursa.golden", social()},
+		{"testdata/fail_node.golden", social("-fail-node", "node-7", "-resilience", "-fail-at", "2", "-fail-for", "3")},
+		{"testdata/two_tier.golden", []string{"-topology", "../../examples/specs/two-tier.json", "-system", "ursa", "-minutes", "4", "-q"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(parseFlags(append(append([]string{}, base...), tc.args...)), &out, io.Discard); err != nil {
+			if err := run(parseFlags(tc.args), &out, io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			var kept []string

@@ -64,16 +64,14 @@ func Observe(app *services.App, from, to sim.Time) Observation {
 		}
 	}
 	for _, cs := range app.Spec.Classes {
+		// Count and PercentileBetween answer in both telemetry modes; raw
+		// samples (Between) do not exist under sketch telemetry.
 		rec := app.E2E.Class(cs.Name)
-		if rec == nil {
+		if rec == nil || rec.Count(from, to) == 0 {
 			continue
 		}
-		vals := rec.Between(from, to)
-		if len(vals) == 0 {
-			continue
-		}
-		obs.P99[cs.Name] = stats.Percentile(vals, 99)
-		lp := stats.Percentile(vals, cs.SLAPercentile)
+		obs.P99[cs.Name] = rec.PercentileBetween(from, to, 99)
+		lp := rec.PercentileBetween(from, to, cs.SLAPercentile)
 		obs.LatP[cs.Name] = lp
 		if lp > cs.SLAMillis {
 			obs.Violated = true

@@ -11,8 +11,13 @@ import (
 
 func obsApp(t *testing.T) (*sim.Engine, *services.App) {
 	t.Helper()
+	return obsAppWith(t, services.TelemetryConfig{})
+}
+
+func obsAppWith(t *testing.T, tel services.TelemetryConfig) (*sim.Engine, *services.App) {
+	t.Helper()
 	eng := sim.NewEngine(1)
-	app := services.MustNewApp(eng, services.AppSpec{
+	app, err := services.NewAppWith(eng, services.AppSpec{
 		Name: "obs",
 		Services: []services.ServiceSpec{{
 			Name: "api", Threads: 64, CPUs: 2, InitialReplicas: 2,
@@ -21,7 +26,10 @@ func obsApp(t *testing.T) (*sim.Engine, *services.App) {
 			},
 		}},
 		Classes: []services.ClassSpec{{Name: "get", Entry: "api", SLAPercentile: 99, SLAMillis: 20}},
-	})
+	}, services.AppOptions{Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return eng, app
 }
 
@@ -70,5 +78,43 @@ func TestServiceNamesSorted(t *testing.T) {
 	names := obs.ServiceNamesSorted()
 	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestObserveSketchMatchesExact pins Observe as telemetry-mode invariant: a
+// sketch-backed app must report the same classes as its exact-mode twin,
+// with latencies inside the sketch's relative-error band and the same
+// violation verdict — healthy and throttled.
+func TestObserveSketchMatchesExact(t *testing.T) {
+	const alpha = 0.01
+	for _, throttle := range []bool{false, true} {
+		observe := func(tel services.TelemetryConfig) Observation {
+			eng, app := obsAppWith(t, tel)
+			workload.New(eng, app, workload.Constant{Value: 100}, workload.Mix{"get": 1}).Start()
+			if throttle {
+				app.Service("api").SetCPUFactor(0.05)
+			}
+			eng.RunUntil(3 * sim.Minute)
+			return Observe(app, sim.Minute, 3*sim.Minute)
+		}
+		exact := observe(services.TelemetryConfig{})
+		sketch := observe(services.TelemetryConfig{SketchAlpha: alpha})
+		if len(sketch.P99) != len(exact.P99) || len(sketch.LatP) != len(exact.LatP) {
+			t.Fatalf("throttle=%v: sketch observed %d/%d classes, exact %d/%d",
+				throttle, len(sketch.P99), len(sketch.LatP), len(exact.P99), len(exact.LatP))
+		}
+		for name, pair := range map[string][2]map[string]float64{
+			"P99": {exact.P99, sketch.P99}, "LatP": {exact.LatP, sketch.LatP},
+		} {
+			for class, want := range pair[0] {
+				if got := pair[1][class]; math.Abs(got-want) > alpha*want {
+					t.Errorf("throttle=%v %s[%s]: sketch %.3f vs exact %.3f, outside the α band",
+						throttle, name, class, got, want)
+				}
+			}
+		}
+		if sketch.Violated != exact.Violated || exact.Violated != throttle {
+			t.Errorf("throttle=%v: Violated sketch=%v exact=%v", throttle, sketch.Violated, exact.Violated)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"ursa/internal/stats"
@@ -41,7 +40,7 @@ type Model struct {
 	// non-dominated leaf feasibility evaluations; the incumbent (if any)
 	// stands when the cap is hit. 0 selects the 5M default. Leaves — not
 	// raw visited nodes — are counted so that the fast solver and the
-	// retained reference (which walks subtrees the fast solver prunes)
+	// reference test oracle (which walks subtrees the fast solver prunes)
 	// stop at exactly the same point and stay bit-identical when capped.
 	NodeBudget int
 }
@@ -121,9 +120,10 @@ type option struct {
 //
 // The search runs on a pooled solver (solver.go) with cached percentile
 // tables, precomputed cost orders and dominance pruning; it returns the same
-// picks, bounds and percentile assignment as the retained straightforward
-// implementation (reference.go), bit for bit — only Solution.Nodes differs,
-// since pruned subtrees are never visited.
+// picks, bounds and percentile assignment as the straightforward
+// branch-and-bound it replaced (kept as the test oracle in
+// reference_test.go), bit for bit — only Solution.Nodes differs, since
+// pruned subtrees are never visited.
 func (m *Model) Solve() (*Solution, error) {
 	if active := m.activeTargets(); len(active) != len(m.Targets) {
 		mm := *m
@@ -267,124 +267,6 @@ func equalSplitIndex(budget, n int) int {
 		}
 	}
 	return -1
-}
-
-// assignPercentiles solves, for one target, the percentile-budget DP: pick a
-// percentile per path term minimizing the summed latency bound subject to
-// Σ residuals ≤ budget; feasible iff the minimum bound ≤ TargetMs. With
-// EqualSplitPercentiles the assignment is fixed to the equal-split
-// percentile instead (ablation).
-func (m *Model) assignPercentiles(t int, tms []term, opts [][]option, pick []int, svcNames []string, budget int) (assignment, bool) {
-	if m.EqualSplitPercentiles {
-		return m.assignEqualSplit(t, tms, opts, pick, svcNames, budget)
-	}
-	type cell struct {
-		lat    float64
-		choice int8
-	}
-	residuals := make([]int, len(Percentiles))
-	for b, p := range Percentiles {
-		residuals[b] = residualUnits(p)
-	}
-	svcIdx := map[string]int{}
-	for i, n := range svcNames {
-		svcIdx[n] = i
-	}
-
-	// rows[k]: latency contribution of term k per percentile index.
-	rows := make([][]float64, len(tms))
-	for k, tm := range tms {
-		si := svcIdx[tm.service]
-		for _, op := range opts[si] {
-			if op.index == pick[si] {
-				rows[k] = op.lat[t]
-				break
-			}
-		}
-		if rows[k] == nil {
-			return assignment{}, false
-		}
-	}
-
-	const inf = math.MaxFloat64 / 4
-	dp := make([][]cell, len(tms)+1)
-	for k := range dp {
-		dp[k] = make([]cell, budget+1)
-		for b := range dp[k] {
-			dp[k][b] = cell{lat: inf, choice: -1}
-		}
-	}
-	dp[0][budget].lat = 0
-	for k := 0; k < len(tms); k++ {
-		for b := 0; b <= budget; b++ {
-			if dp[k][b].lat >= inf {
-				continue
-			}
-			for β, r := range residuals {
-				if r > b {
-					continue
-				}
-				nb := b - r
-				nl := dp[k][b].lat + rows[k][β]
-				if nl < dp[k+1][nb].lat {
-					dp[k+1][nb] = cell{lat: nl, choice: int8(β)}
-				}
-			}
-		}
-	}
-	bestB, bestLat := -1, inf
-	for b := 0; b <= budget; b++ {
-		if dp[len(tms)][b].lat < bestLat {
-			bestLat = dp[len(tms)][b].lat
-			bestB = b
-		}
-	}
-	if bestB == -1 || bestLat > m.targetMs(t) {
-		return assignment{}, false
-	}
-	// Recover choices.
-	percs := make([]float64, len(tms))
-	b := bestB
-	for k := len(tms); k >= 1; k-- {
-		β := dp[k][b].choice
-		percs[k-1] = Percentiles[β]
-		b += residuals[β]
-	}
-	return assignment{percentiles: percs, bound: bestLat}, true
-}
-
-// assignEqualSplit is the ablation percentile policy: every term gets the
-// same percentile (equal residual split).
-func (m *Model) assignEqualSplit(t int, tms []term, opts [][]option, pick []int, svcNames []string, budget int) (assignment, bool) {
-	β := equalSplitIndex(budget, len(tms))
-	if β == -1 {
-		return assignment{}, false
-	}
-	svcIdx := map[string]int{}
-	for i, n := range svcNames {
-		svcIdx[n] = i
-	}
-	bound := 0.0
-	percs := make([]float64, len(tms))
-	for k, tm := range tms {
-		si := svcIdx[tm.service]
-		var row []float64
-		for _, op := range opts[si] {
-			if op.index == pick[si] {
-				row = op.lat[t]
-				break
-			}
-		}
-		if row == nil {
-			return assignment{}, false
-		}
-		bound += row[β]
-		percs[k] = Percentiles[β]
-	}
-	if bound > m.targetMs(t) {
-		return assignment{}, false
-	}
-	return assignment{percentiles: percs, bound: bound}, true
 }
 
 // EstimateBound computes, for one class, the tightest Theorem 1 latency

@@ -11,8 +11,9 @@ import (
 
 // This file holds the optimised decision path: a reusable solver with
 // precomputed state that Model.Solve runs on. It returns bit-identical
-// results to solveReference (same picks, bounds, percentile assignment and
-// errors — property-tested in solver_test.go); the speed comes from
+// results to the test oracle solveReference (reference_test.go: same picks,
+// bounds, percentile assignment and errors — property-tested in
+// solver_test.go); the speed comes from
 //
 //   - percentile rows read from the per-Profile cached tables (one sort per
 //     point per class, ever) instead of one quickselect per option × target
@@ -464,7 +465,7 @@ func (s *solver) rec(si int, costSoFar float64) {
 // reconstructs the chosen percentiles (allocating the returned slice); the
 // search's feasibility checks pass recover=false and allocate nothing. The
 // arithmetic — iteration order, comparisons, interpolation inputs — matches
-// Model.assignPercentiles cell for cell.
+// the oracle's Model.assignPercentiles (reference_test.go) cell for cell.
 func (s *solver) assign(t int, recover bool) (assignment, bool) {
 	tms := s.terms[t]
 	budget := s.budgets[t]

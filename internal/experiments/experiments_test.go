@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
+	"ursa/internal/services"
 	"ursa/internal/topology"
 )
 
@@ -88,7 +90,10 @@ func TestExplorationOverheadShapes(t *testing.T) {
 
 func TestAccuracyShapes(t *testing.T) {
 	c, _ := AppCaseByName("social-network")
-	r := RunAccuracy(quick(), c, []string{topology.UploadPost, topology.UpdateTimeline})
+	r, err := RunAccuracy(quick(), c, []string{topology.UploadPost, topology.UpdateTimeline})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for class, ratio := range r.Ratio {
 		// Paper: mean estimated/measured between 0.96 and 1.05; allow a
 		// wider band at smoke scale.
@@ -270,8 +275,26 @@ func TestCorpusShapes(t *testing.T) {
 	}
 	// The JSON artifact is deterministic: same opts, same bytes.
 	r2 := RunCorpus(quick(), CorpusParams{N: 3, Systems: []string{"ursa", "auto-a"}})
-	if string(r.JSON()) != string(r2.JSON()) {
+	j1, err1 := r.JSON()
+	j2, err2 := r2.JSON()
+	if err1 != nil || err2 != nil {
+		t.Fatalf("corpus JSON: %v / %v", err1, err2)
+	}
+	if string(j1) != string(j2) {
 		t.Error("corpus JSON not reproducible for identical options")
+	}
+}
+
+// TestExperimentErrorsReturned pins the error returns that replaced panics:
+// an undeployable app case fails RunAccuracy, and a result JSON cannot
+// encode (a NaN rate) fails CorpusResult.JSON.
+func TestExperimentErrorsReturned(t *testing.T) {
+	bad := services.AppSpec{Name: "bad", Classes: []services.ClassSpec{{Name: "get", Entry: "missing"}}}
+	if _, err := RunAccuracy(quick(), AppCase{Name: "bad", Spec: bad}, nil); err == nil {
+		t.Error("RunAccuracy deployed an app whose class has no entry service")
+	}
+	if _, err := (CorpusResult{Worst: []CorpusWorst{{ViolationRate: math.NaN()}}}).JSON(); err == nil {
+		t.Error("CorpusResult.JSON encoded a NaN")
 	}
 }
 

@@ -35,8 +35,9 @@ type AccuracyResult struct {
 // §VII-D, per-service and end-to-end distributions are recorded every
 // window while allocations change; the estimator is the Theorem 1 bound on
 // the window's own per-service distributions, scaled by the expected
-// overestimation ratio calibrated on the first quarter of windows.
-func RunAccuracy(opts Options, c AppCase, classes []string) AccuracyResult {
+// overestimation ratio calibrated on the first quarter of windows. It fails
+// only when the app case's spec does not deploy.
+func RunAccuracy(opts Options, c AppCase, classes []string) (AccuracyResult, error) {
 	opts.defaults()
 	windowLen := 5 * sim.Minute
 	nWindows := opts.scaleInt(30, 8) // 150 min at full scale
@@ -44,7 +45,7 @@ func RunAccuracy(opts Options, c AppCase, classes []string) AccuracyResult {
 	eng := sim.NewEngine(opts.Seed)
 	app, err := services.NewApp(eng, c.Spec)
 	if err != nil {
-		panic(err)
+		return AccuracyResult{}, err
 	}
 	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
 	gen.Start()
@@ -138,7 +139,7 @@ func RunAccuracy(opts Options, c AppCase, classes []string) AccuracyResult {
 			res.Ratio[class] = stats.Mean(ratios)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // Render prints the estimated-vs-measured series.

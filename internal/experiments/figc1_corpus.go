@@ -254,12 +254,12 @@ func RunCorpus(opts Options, params CorpusParams) CorpusResult {
 }
 
 // JSON renders the result for BENCH_corpus.json.
-func (r CorpusResult) JSON() []byte {
+func (r CorpusResult) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(r, "", " ")
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return append(data, '\n')
+	return append(data, '\n'), nil
 }
 
 // Render prints the Fig. C1 summary table.

@@ -7,22 +7,11 @@ import (
 	"ursa/internal/trace"
 )
 
-// UseReferenceSteps, when set before apps are built, routes every handler
-// through the retained closure-per-hop reference interpreter
-// (runStepsReference) instead of the pooled step-frame machine. The two paths
-// are pinned byte-identical by TestFramesMatchReference and the experiment-
-// level identity tests; the flag exists so those tests (and A/B benchmarks)
-// can run the original implementation without forking the package.
-var UseReferenceSteps bool
-
-// frame is one execution of one handler step list: the fused replacement for
-// the reference interpreter's closure chain. Where the reference path builds
-// a fresh `step` closure, a fresh `finish` closure and a fresh continuation
-// closure per hop, a frame carries the program counter (i), the downstream-
-// wait accumulator and the completion state in one pooled struct, and every
-// engine continuation is a method value bound once per frame lifetime — so in
-// steady state a request executes its whole send→queue→serve→reply chain
-// without allocating.
+// frame is one execution of one handler step list. It carries the program
+// counter (i), the downstream-wait accumulator and the completion state in
+// one pooled struct, and every engine continuation is a method value bound
+// once per frame lifetime — so in steady state a request executes its whole
+// send→queue→serve→reply chain without allocating.
 //
 // Lifetime: frames are recycled through App.framePool. A frame is released
 // only when it has completed AND refs — the number of outstanding callbacks
@@ -37,8 +26,7 @@ type frame struct {
 	steps []Step
 	i     int // program counter into steps
 
-	// Root-frame completion state (what the reference path's per-request
-	// finish closure captured).
+	// Root-frame completion state, read by finish.
 	svc     *Service
 	rep     *Replica
 	started sim.Time
@@ -56,9 +44,8 @@ type frame struct {
 	parMax       sim.Time
 
 	// In-flight fast-path nested RPC: the outstanding request and the
-	// response-wait clock start (stamped by accepted, read by rpcDone). t0
-	// reset/overwrite ordering reproduces the reference path's per-call t0
-	// exactly — see DESIGN.md §4f.
+	// response-wait clock start (stamped by accepted, read by rpcDone; see
+	// DESIGN.md §4f for the t0 reset/overwrite ordering).
 	rpcReq *Request
 	t0     sim.Time
 
@@ -125,20 +112,17 @@ func (a *App) getRequest() *Request {
 // putRequest recycles a request. Only requests that settled cleanly are ever
 // recycled (see frame.finish): a failed or abandoned request may still be
 // referenced by a crashed replica's bookkeeping, a late resilience timeout,
-// or a caller that gave up on it — exactly the objects the reference path
-// leaves to the garbage collector, and so do we.
+// or a caller that gave up on it — so those are left to the garbage
+// collector.
 func (a *App) putRequest(r *Request) {
 	*r = Request{}
 	a.reqPool = append(a.reqPool, r)
 }
 
-// start begins executing steps for req on the frame's bound worker.
-func (f *frame) start() { f.exec() }
-
 // exec runs steps from the current program counter until the frame blocks on
-// an engine callback or completes. It is the loop form of the reference
-// interpreter's recursive `step` closure; synchronous steps (Spawn, MQ) fall
-// through without touching the engine.
+// an engine callback or completes. Synchronous steps (Spawn, MQ) fall
+// through without touching the engine. A terminally failed request (a
+// downstream call out of retries) skips the rest of its step list.
 func (f *frame) exec() {
 	a := f.app
 	req := f.req
@@ -273,8 +257,8 @@ func (f *frame) rpcDone() {
 
 // accepted fires when the downstream ingress admits the fast-path nested
 // RPC: start the response-wait clock. Writing t0 after a synchronous
-// completion already consumed it is harmless (and matches the reference
-// path, whose per-call t0 also went unread in that interleaving).
+// completion already consumed it is harmless: t0 is reset at the next call
+// before it is read again.
 func (f *frame) accepted() {
 	f.refs--
 	f.t0 = f.app.Eng.Now()
@@ -315,10 +299,11 @@ func (f *frame) childDone(w sim.Time) {
 	}
 }
 
-// finish completes the root request: metrics, span, worker release, onDone —
-// the fused form of the reference path's per-request finish closure. It is
-// stored in req.finish so a crash can force-complete in-flight requests; the
-// settled guard makes the eventual frame completion a no-op after that.
+// finish completes the root request: metrics, span, worker release, onDone.
+// The tier's measured response time excludes the time blocked on nested-RPC
+// responses (Fig. 2's S0−R0 definition). finish is stored in req.finish so a
+// crash can force-complete in-flight requests; the settled guard makes the
+// eventual frame completion a no-op after that.
 func (f *frame) finish() {
 	req := f.req
 	if req.settled {

@@ -3,6 +3,7 @@ package services
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -83,11 +84,7 @@ func kitchenSinkSpec() AppSpec {
 // counts, job accounting, and per-class / per-tier latency quantiles. faults
 // optionally enables resilience + network faults and a mid-run replica
 // crash.
-func frameScenario(seed int64, reference, faults bool) string {
-	prev := UseReferenceSteps
-	UseReferenceSteps = reference
-	defer func() { UseReferenceSteps = prev }()
-
+func frameScenario(seed int64, faults bool) string {
 	eng := sim.NewEngine(seed)
 	app := MustNewApp(eng, kitchenSinkSpec())
 	if faults {
@@ -132,61 +129,66 @@ func frameScenario(seed int64, reference, faults bool) string {
 	return sb.String()
 }
 
-// TestFramesMatchReference pins the pooled step-frame machine byte-identical
-// to the closure-per-hop reference interpreter, across seeds, with and
-// without resilience + network faults + a mid-run crash.
+// TestFramesMatchReference pins the pooled step-frame machine against
+// testdata/frames.golden: the frameScenario fingerprints of 12 seeds, with
+// and without resilience + network faults + a mid-run crash, as produced by
+// the closure-per-hop reference interpreter the frames replaced (captured
+// when both interpreters still existed and agreed byte for byte).
 func TestFramesMatchReference(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-seed equivalence sweep")
+		t.Skip("multi-seed golden sweep")
 	}
-	for seed := int64(1); seed <= 12; seed++ {
-		for _, faults := range []bool{false, true} {
-			ref := frameScenario(seed, true, faults)
-			fused := frameScenario(seed, false, faults)
-			if ref != fused {
-				t.Fatalf("seed %d faults=%v: fused frames diverge from reference\nref:\n%s\nfused:\n%s",
-					seed, faults, ref, fused)
-			}
+	data, err := os.ReadFile("testdata/frames.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(string(data), "# ")[1:] // one "seed=… faults=…" block per scenario
+	if len(want) != 24 {
+		t.Fatalf("frames.golden holds %d scenarios, want 24", len(want))
+	}
+	for i := range want {
+		seed, faults := int64(i/2+1), i%2 == 1
+		got := fmt.Sprintf("seed=%d faults=%v\n%s", seed, faults, frameScenario(seed, faults))
+		if got != want[i] {
+			t.Fatalf("frames diverge from golden\ngot:\n%s\nwant:\n%s", got, want[i])
 		}
 	}
 }
 
-// TestFrameAllocsBelowReference pins the point of the fusion: the frame
-// machine must allocate strictly less per request than the reference
-// interpreter on the same scenario (the reference pays a step closure, a
-// finish closure and a continuation closure per hop; frames and requests are
-// pool-recycled).
+// frameAllocCeiling bounds steady-state heap allocations per job on the
+// kitchen-sink scenario: 14.08 measured for the frame machine (vs 70.07 for
+// the closure-per-hop reference interpreter it replaced), plus a 13.6%
+// margin.
+const frameAllocCeiling = 16
+
+// TestFrameAllocsBelowReference pins the point of the frame machine: frames
+// and requests are pool-recycled, so a job allocates far less than the
+// reference interpreter's step, finish and continuation closures per hop
+// did. The ceiling is absolute (frameAllocCeiling).
 func TestFrameAllocsBelowReference(t *testing.T) {
-	measure := func(reference bool) float64 {
-		prev := UseReferenceSteps
-		UseReferenceSteps = reference
-		defer func() { UseReferenceSteps = prev }()
-		eng := sim.NewEngine(3)
-		app := MustNewApp(eng, kitchenSinkSpec())
-		rng := rand.New(rand.NewSource(99))
-		var arrive func()
-		arrive = func() {
-			app.Inject("mixed")
-			eng.Schedule(sim.Seconds2Time(rng.ExpFloat64()/60), arrive)
-		}
-		eng.Schedule(0, arrive)
-		eng.RunUntil(1 * sim.Minute) // warm pools and metric windows
-		before := app.InjectedJobs
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		eng.RunUntil(3 * sim.Minute)
-		runtime.ReadMemStats(&m1)
-		jobs := app.InjectedJobs - before
-		if jobs < 100 {
-			t.Fatalf("only %d jobs in measured window", jobs)
-		}
-		return float64(m1.Mallocs-m0.Mallocs) / float64(jobs)
+	eng := sim.NewEngine(3)
+	app := MustNewApp(eng, kitchenSinkSpec())
+	rng := rand.New(rand.NewSource(99))
+	var arrive func()
+	arrive = func() {
+		app.Inject("mixed")
+		eng.Schedule(sim.Seconds2Time(rng.ExpFloat64()/60), arrive)
 	}
-	ref := measure(true)
-	fused := measure(false)
-	t.Logf("allocs/job: reference=%.2f fused=%.2f", ref, fused)
-	if fused >= ref-4 {
-		t.Fatalf("fused path allocates %.2f/job vs reference %.2f — expected ≥4 saved", fused, ref)
+	eng.Schedule(0, arrive)
+	eng.RunUntil(1 * sim.Minute) // warm pools and metric windows
+	before := app.InjectedJobs
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	eng.RunUntil(3 * sim.Minute)
+	runtime.ReadMemStats(&m1)
+	jobs := app.InjectedJobs - before
+	if jobs < 100 {
+		t.Fatalf("only %d jobs in measured window", jobs)
+	}
+	perJob := float64(m1.Mallocs-m0.Mallocs) / float64(jobs)
+	t.Logf("allocs/job: %.2f (ceiling %d)", perJob, frameAllocCeiling)
+	if perJob > frameAllocCeiling {
+		t.Fatalf("frame machine allocates %.2f/job, above the ceiling of %d", perJob, frameAllocCeiling)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"ursa/internal/cluster"
 	"ursa/internal/metrics"
 	"ursa/internal/sim"
-	"ursa/internal/trace"
 )
 
 // Service is a running microservice: a pending-request queue shared by its
@@ -484,52 +483,15 @@ func (s *Service) start(rep *Replica, req *Request) {
 	rep.busyWorkers++
 	req.replica = rep
 	rep.track(req)
-	if !UseReferenceSteps {
-		f := s.app.getFrame()
-		f.req = req
-		f.steps = steps
-		f.svc = s
-		f.rep = rep
-		f.started = s.app.Eng.Now()
-		f.waitAcc = &f.wait
-		req.finish = f.finishFn
-		f.start()
-		return
-	}
-	started := s.app.Eng.Now()
-	var wait sim.Time
-	req.finish = func() {
-		if req.settled {
-			return // a crash already force-completed this request
-		}
-		req.settled = true
-		rep.untrack(req)
-		now := s.app.Eng.Now()
-		if !req.Failed {
-			resp := now - req.arrival - wait
-			if resp < 0 {
-				resp = 0
-			}
-			s.RespTime.Add(now, resp.Millis())
-			s.RespByClass.Record(now, req.Class, resp.Millis())
-		}
-		if tr := s.app.Tracer; tr != nil && req.Job != nil && req.Job.traceID != 0 {
-			tr.AddSpan(req.Job.traceID, trace.Span{
-				Service:        s.spec.Name,
-				Class:          req.Class,
-				Enqueued:       req.arrival,
-				Started:        started,
-				Finished:       now,
-				DownstreamWait: wait,
-				Abandoned:      req.Failed || req.abandoned,
-			})
-		}
-		rep.busyWorkers--
-		rep.maybeRetire()
-		s.pump()
-		req.runOnDone()
-	}
-	s.app.runStepsReference(req, steps, &wait, req.finish)
+	f := s.app.getFrame()
+	f.req = req
+	f.steps = steps
+	f.svc = s
+	f.rep = rep
+	f.started = s.app.Eng.Now()
+	f.waitAcc = &f.wait
+	req.finish = f.finishFn
+	f.exec()
 }
 
 // CPUAccounting reports the service's cumulative CPU accounting: busy

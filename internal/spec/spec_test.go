@@ -206,6 +206,11 @@ func TestLoaderErrorPaths(t *testing.T) {
 			`app.yaml: services.frontend.kind: unknown kind "cron" (want rpc|worker)`,
 		},
 		{
+			"unknown step kind",
+			strings.Replace(minimalDoc, "- call: backend", "- teleport: backend", 1),
+			`app.yaml: services.frontend.operations.get.steps[1]: unknown step kind "teleport" (want compute|call|spawn|par)`,
+		},
+		{
 			"unknown call mode",
 			strings.Replace(minimalDoc, "- call: backend", "- call: {service: backend, mode: udp}", 1),
 			`app.yaml: services.frontend.operations.get.steps[1].call.mode: unknown call mode "udp" (want nested-rpc|event-rpc|mq)`,
@@ -350,6 +355,17 @@ classes:
 	tuned := c.Spec.ServiceSpecByName("tuned")
 	if tuned.Threads != 2048 || tuned.Daemons != 8 || tuned.IngressCostMs != 1 || tuned.IngressWindow != 16 {
 		t.Errorf("overrides: %+v", tuned)
+	}
+	// A call without a mode is a nested RPC.
+	f, err = Parse("app.yaml", []byte(minimalDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Build(f); err != nil {
+		t.Fatal(err)
+	}
+	if call := c.Spec.ServiceSpecByName("frontend").Handlers["get"][1].(services.Call); call.Mode != services.NestedRPC {
+		t.Errorf("default call mode = %v, want nested-rpc", call.Mode)
 	}
 }
 

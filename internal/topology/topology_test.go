@@ -1,8 +1,6 @@
 package topology
 
 import (
-	"encoding/json"
-	"reflect"
 	"testing"
 
 	"ursa/internal/services"
@@ -158,21 +156,5 @@ func TestMediaDerivedClassesFlow(t *testing.T) {
 func TestChainTierNames(t *testing.T) {
 	if ChainTier(1) != "tier1" || ChainTier(5) != "tier5" {
 		t.Fatal("ChainTier naming wrong")
-	}
-}
-
-func TestSpecsJSONRoundTrip(t *testing.T) {
-	for _, app := range Apps() {
-		data, err := json.Marshal(app.Spec)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", app.Name, err)
-		}
-		var got services.AppSpec
-		if err := json.Unmarshal(data, &got); err != nil {
-			t.Fatalf("%s: unmarshal: %v", app.Name, err)
-		}
-		if !reflect.DeepEqual(app.Spec, got) {
-			t.Errorf("%s: JSON round trip mismatch", app.Name)
-		}
 	}
 }

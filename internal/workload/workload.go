@@ -151,30 +151,21 @@ func (m Mix) Fraction(class string) float64 {
 	return m[class] / total
 }
 
-// UseLegacyArrivals, when set before generators are started, routes every
-// arrival through the retained one-timer-per-arrival reference path instead
-// of the batched fast path. The two paths are pinned byte-identical by
-// TestBatchedMatchesLegacy and the experiment-level identity tests; the flag
-// exists so those tests (and A/B benchmarks) can run the original
-// implementation without forking the package.
-var UseLegacyArrivals bool
-
-// arrivalBlock is how many (inter-arrival, class) RNG draw pairs the batched
-// path pre-generates at a time. Bigger blocks amortize RNG calls further but
-// pre-draw deeper past a Stop; 256 keeps the slabs L1-resident.
+// arrivalBlock is how many (inter-arrival, class) RNG draw pairs the
+// generator pre-draws at a time. Bigger blocks amortize RNG calls further
+// but pre-draw deeper past a Stop; 256 keeps the slabs L1-resident.
 const arrivalBlock = 256
 
 // Generator drives Poisson arrivals of mixed request classes into an app.
 //
-// The default (batched) implementation pre-draws RNG values in blocks and
-// keeps exactly one pending arrival timer, armed through the engine's
-// closure-free handler path — zero allocations per arrival in steady state.
-// Batching preserves the reference path's behaviour exactly (see DESIGN.md
-// §4f): draws are consumed pairwise in the same stream order, each
-// inter-arrival gap is still scaled by the pattern rate read at the previous
-// arrival, and the single Schedule call per arrival happens at the same
-// moment — so event times, engine sequence numbers and every injected
-// (time, class) pair are identical to the legacy path.
+// It pre-draws RNG values in blocks and keeps exactly one pending arrival
+// timer, armed through the engine's closure-free handler path — zero
+// allocations per arrival in steady state. Batching amortises RNG calls
+// without changing the arrival process (see DESIGN.md §4f): draws are
+// consumed pairwise in stream order (gap, class, gap, class, …), and each
+// inter-arrival gap is scaled by the pattern rate read at the previous
+// arrival. The arrival timeline is
+// pinned by internal/workload/testdata/arrivals.golden.
 type Generator struct {
 	eng     *sim.Engine
 	app     *services.App
@@ -183,7 +174,6 @@ type Generator struct {
 	cum     []float64
 	rng     *rand.Rand
 	stopped bool
-	legacy  bool
 	// Injected counts requests injected per class.
 	Injected map[string]int
 
@@ -209,35 +199,26 @@ func New(eng *sim.Engine, app *services.App, pattern Pattern, mix Mix) *Generato
 		classes:  classes,
 		cum:      cum,
 		rng:      eng.RNG("workload/" + app.Spec.Name),
-		legacy:   UseLegacyArrivals,
 		Injected: map[string]int{},
 	}
 }
 
 // Start begins the open-loop arrival process.
-func (g *Generator) Start() {
-	if g.legacy {
-		g.scheduleNext()
-		return
-	}
-	g.armNext()
-}
+func (g *Generator) Start() { g.armNext() }
 
 // Stop halts future arrivals (in-flight requests drain normally). A pending
-// arrival timer fires as a no-op, exactly like the legacy path.
+// arrival timer fires as a no-op.
 func (g *Generator) Stop() { g.stopped = true }
 
 // SetPattern swaps the load pattern. It takes effect at the next arrival
 // boundary: the already-armed gap was scaled by the old pattern's rate (it
 // was drawn at the previous arrival), and every later gap is scaled by the
-// new pattern's rate at arm time — identical in both arrival paths, because
-// the batched blocks store raw unscaled draws.
+// new pattern's rate at arm time. The pre-drawn blocks store raw unscaled
+// draws, so a swap needs no block invalidation.
 func (g *Generator) SetPattern(p Pattern) { g.pattern = p }
 
-// refill pre-draws one block of (gap, class) RNG pairs. Pairwise order
-// matches the legacy path's interleaved consumption (Exp₁ F₁ Exp₂ F₂ …), so
-// both paths read the identical value sequence from the generator's private
-// stream.
+// refill pre-draws one block of (gap, class) RNG pairs from the generator's
+// private stream, interleaved pairwise (Exp₁ F₁ Exp₂ F₂ …).
 func (g *Generator) refill() {
 	if cap(g.expDraws) == 0 {
 		g.expDraws = make([]float64, 0, arrivalBlock)
@@ -287,35 +268,6 @@ func (g *Generator) OnEvent() {
 	g.Injected[class]++
 	g.app.Inject(class)
 	g.armNext()
-}
-
-// scheduleNext is the retained one-timer-per-arrival reference path: one
-// ExpFloat64 + one Float64 + two closures per arrival. It is the ground truth
-// the batched path is pinned against.
-func (g *Generator) scheduleNext() {
-	if g.stopped {
-		return
-	}
-	rate := g.pattern.RPS(g.eng.Now())
-	if rate <= 0 {
-		// Idle: re-check for a live rate once a second.
-		g.eng.Schedule(sim.Second, g.scheduleNext)
-		return
-	}
-	gap := sim.Seconds2Time(g.rng.ExpFloat64() / rate)
-	g.eng.Schedule(gap, func() {
-		if g.stopped {
-			return
-		}
-		class := g.pick()
-		g.Injected[class]++
-		g.app.Inject(class)
-		g.scheduleNext()
-	})
-}
-
-func (g *Generator) pick() string {
-	return g.pickFrom(g.rng.Float64())
 }
 
 func (g *Generator) pickFrom(u float64) string {
