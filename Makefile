@@ -97,11 +97,11 @@ bench-corpus:
 		-corpus-json BENCH_corpus.json -out results
 	@echo wrote BENCH_corpus.json
 
-# bench-placement runs the Fig. S1 fleet-scaling study: a generated tenant
-# fleet deployed behind the shared arbiter on synthetic clusters from 8 to
-# 1024 nodes, plus the Place+Release micro-timing of the free-capacity index
-# against the retained linear scan. Diff BENCH_placement.json's place_speedup
-# column to track the indexed-placement headline (≥10× at 1024 nodes).
+# bench-placement runs the free-capacity index's Place+Release and SetDown
+# microbenchmarks across node counts, then the Fig. S1 fleet-scaling study: a
+# generated tenant fleet deployed behind the shared arbiter on synthetic
+# clusters from 8 to 1024 nodes. BENCH_placement.json holds the figs1 grid;
+# its simulated columns are deterministic per (seed, scale).
 bench-placement:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlace|BenchmarkSetDown' \
 		-benchmem ./internal/cluster

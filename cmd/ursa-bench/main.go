@@ -13,8 +13,6 @@
 // result), figs1 (fleet scaling curve; -figs1-nodes/-figs1-tenants size the
 // sweeps, -figs1-json writes BENCH_placement.json), all. Scale < 1 shortens
 // deployments and ML sample counts proportionally; shapes are preserved.
-// -no-fast-resolve disables the incremental re-solve fast path everywhere,
-// reproducing outputs from before it became the default.
 //
 // Independent simulation cells run concurrently on a bounded worker pool
 // (-parallel, default GOMAXPROCS); results are merged in a canonical order,
@@ -27,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"ursa/internal/experiments"
@@ -43,7 +42,6 @@ func main() {
 		systems  = flag.String("systems", "", "comma-separated system filter for fig11/fig12")
 		parallel = flag.Int("parallel", 0, "worker pool size for independent simulation cells (0 = GOMAXPROCS, 1 = sequential)")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
-		noFast   = flag.Bool("no-fast-resolve", false, "disable the incremental re-solve fast path (full model solve on every Optimize)")
 
 		corpusN    = flag.Int("corpus-n", 100, "number of generated topologies for figc1")
 		corpusJSON = flag.String("corpus-json", "", "also write the figc1 result as JSON to this path")
@@ -54,7 +52,16 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel, NoFastResolve: *noFast}
+	nodeSweep, err := parseInts(*figs1Nodes)
+	if err != nil {
+		fatal(fmt.Errorf("-figs1-nodes: %w", err))
+	}
+	tenantSweep, err := parseInts(*figs1Tenants)
+	if err != nil {
+		fatal(fmt.Errorf("-figs1-tenants: %w", err))
+	}
+
+	opts := experiments.Options{Seed: *seed, Scale: *scale, Parallelism: *parallel}
 	if !*quiet {
 		opts.Log = os.Stderr
 	}
@@ -112,7 +119,7 @@ func main() {
 	run("fig14", func() string { return rendered(experiments.RunAdaptation(opts)) })
 	run("figf1", func() string { return rendered(experiments.RunResilience(opts)) })
 	run("figr1", func() string { return rendered(experiments.RunRegionFailover(opts)) })
-	run("figr2", func() string { return experiments.RunFollowTheSun(opts).Render() })
+	run("figr2", func() string { return rendered(experiments.RunFollowTheSun(opts)) })
 	run("figc1", func() string {
 		r := experiments.RunCorpus(opts, experiments.CorpusParams{N: *corpusN, Systems: sysFilter})
 		if *corpusJSON != "" {
@@ -128,12 +135,13 @@ func main() {
 		return r.Render()
 	})
 	run("figs1", func() string {
-		r := experiments.RunScaling(opts, experiments.ScalingParams{
-			Nodes:   parseInts(*figs1Nodes),
-			Tenants: parseInts(*figs1Tenants),
-		})
+		r := experiments.RunScaling(opts, experiments.ScalingParams{Nodes: nodeSweep, Tenants: tenantSweep})
 		if *figs1JSON != "" {
-			if err := os.WriteFile(*figs1JSON, r.JSON(), 0o644); err != nil {
+			data, err := r.JSON()
+			if err != nil {
+				fatal(err)
+			}
+			if err := os.WriteFile(*figs1JSON, data, 0o644); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *figs1JSON)
@@ -161,21 +169,22 @@ func main() {
 	}
 }
 
-// parseInts parses a comma-separated int list; empty input returns nil (the
-// experiment's default sweep).
-func parseInts(s string) []int {
+// parseInts parses a comma-separated list of positive counts; empty input
+// returns nil (the experiment's default sweep). Each element must be a whole
+// integer: "8x" is an error, not 8.
+func parseInts(s string) ([]int, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &v); err != nil || v <= 0 {
-			fatal(fmt.Errorf("bad count %q in %q", part, s))
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad count %q in %q", part, s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func fatal(err error) {

@@ -46,6 +46,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 
 	"ursa/internal/cluster"
 	"ursa/internal/experiments"
@@ -61,14 +63,14 @@ import (
 
 // options holds one invocation's parsed flags.
 type options struct {
-	appName, system, load, topoFile, dumpTopo              string
-	failNode, failRegion, telemetry, traceOut, metricsOut  string
-	cpuProfile, memProfile                                 string
-	minutes, parallel, retention, traceSample              int
-	seed                                                   int64
-	rpsMult, scale, failAt, failFor, sketchAlpha           float64
-	quiet, noFast, validate, resilience, useRegions, spill bool
-	args                                                   []string
+	appName, system, load, topoFile, dumpTopo             string
+	failNode, failRegion, telemetry, traceOut, metricsOut string
+	cpuProfile, memProfile                                string
+	minutes, parallel, retention, traceSample             int
+	seed                                                  int64
+	rpsMult, scale, failAt, failFor, sketchAlpha          float64
+	quiet, validate, resilience, useRegions, spill        bool
+	args                                                  []string
 }
 
 // parseFlags parses the command line into options.
@@ -84,7 +86,6 @@ func parseFlags(args []string) *options {
 	fs.Float64Var(&o.scale, "scale", 0.5, "training/exploration scale for managers that need it")
 	fs.IntVar(&o.parallel, "parallel", 0, "worker pool size for harness-level preparation (0 = GOMAXPROCS, 1 = sequential)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress progress logging")
-	fs.BoolVar(&o.noFast, "no-fast-resolve", false, "disable ursa's incremental re-solve fast path (full model solve on every Optimize)")
 	fs.StringVar(&o.topoFile, "topology", "", "load an application from a declarative spec file (.yaml or .json, see examples/specs/); overrides -app")
 	fs.StringVar(&o.dumpTopo, "dump-topology", "", "print the canonical spec of a built-in app or corpus-s<seed>-<n> member, then exit")
 	fs.BoolVar(&o.validate, "validate", false, "parse, validate and compile the spec files given as arguments, then exit (non-zero on error)")
@@ -118,7 +119,12 @@ func main() {
 		runValidate(o.args)
 	}
 	if o.dumpTopo != "" {
-		runDumpTopology(o.dumpTopo)
+		data, err := dumpTopology(o.dumpTopo)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		os.Stdout.Write(data)
+		os.Exit(0)
 	}
 
 	if o.cpuProfile != "" {
@@ -190,6 +196,16 @@ func (o *options) appCase() (experiments.AppCase, region.Topology, error) {
 // app's name for the report. Every input is checked before the manager is
 // prepared, so a bad flag fails fast instead of after exploration.
 func (o *options) scenario() (string, experiments.Scenario, error) {
+	switch {
+	case o.minutes <= 0:
+		return "", experiments.Scenario{}, fmt.Errorf("-minutes %d: want a positive duration", o.minutes)
+	case !(o.rpsMult > 0):
+		return "", experiments.Scenario{}, fmt.Errorf("-rps %v: want a positive multiplier", o.rpsMult)
+	case o.retention < 0:
+		return "", experiments.Scenario{}, fmt.Errorf("-retention %d: want 0 (keep everything) or a positive number of minutes", o.retention)
+	case o.telemetry == "sketch" && !(o.sketchAlpha > 0 && o.sketchAlpha < 1):
+		return "", experiments.Scenario{}, fmt.Errorf("-sketch-alpha %v: want a relative error in (0,1)", o.sketchAlpha)
+	}
 	c, regions, err := o.appCase()
 	if err != nil {
 		return "", experiments.Scenario{}, err
@@ -256,7 +272,7 @@ func (o *options) scenario() (string, experiments.Scenario, error) {
 	}
 
 	if o.system != "none" {
-		opts := experiments.Options{Seed: o.seed, Scale: o.scale, Parallelism: o.parallel, NoFastResolve: o.noFast}
+		opts := experiments.Options{Seed: o.seed, Scale: o.scale, Parallelism: o.parallel}
 		if !o.quiet {
 			opts.Log = os.Stderr
 		}
@@ -403,36 +419,35 @@ func runValidate(files []string) {
 	os.Exit(0)
 }
 
-// runDumpTopology prints the canonical spec of a built-in application or a
+// dumpTopology renders the canonical spec of a built-in application or a
 // generated corpus member (name form corpus-s<seed>-<index>, as reported by
-// the figc1 experiment), then exits.
-func runDumpTopology(name string) {
-	var (
-		appSpec services.AppSpec
-		mix     workload.Mix
-		rate    float64
-	)
+// the figc1 experiment). The whole name must match: "corpus-s1-2junk" is an
+// unknown topology, not corpus member 2.
+func dumpTopology(name string) ([]byte, error) {
 	if app, ok := topology.AppByName(name); ok {
-		appSpec, mix, rate = app.Spec, app.Mix, app.RPS
-	} else {
-		var seed int64
-		var idx int
-		if n, _ := fmt.Sscanf(name, "corpus-s%d-%d", &seed, &idx); n == 2 {
-			c, _, err := experiments.GenerateCorpusCase(seed, idx)
-			if err != nil {
-				fatalf("generating %s: %v", name, err)
-			}
-			appSpec, mix, rate = c.Spec, c.Mix, c.TotalRPS
-		} else {
-			fatalf("unknown topology %q (want a built-in app or corpus-s<seed>-<n>)", name)
-		}
+		return spec.Dump(app.Spec, app.Mix, app.RPS)
 	}
-	data, err := spec.Dump(appSpec, mix, rate)
+	seed, idx, ok := parseCorpusName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown topology %q (want a built-in app or corpus-s<seed>-<n>)", name)
+	}
+	c, _, err := experiments.GenerateCorpusCase(seed, idx)
 	if err != nil {
-		fatalf("dumping %s: %v", name, err)
+		return nil, fmt.Errorf("generating %s: %w", name, err)
 	}
-	os.Stdout.Write(data)
-	os.Exit(0)
+	return spec.Dump(c.Spec, c.Mix, c.TotalRPS)
+}
+
+// parseCorpusName splits corpus-s<seed>-<index> into its two integers.
+func parseCorpusName(name string) (seed int64, idx int, ok bool) {
+	rest, found := strings.CutPrefix(name, "corpus-s")
+	k := strings.LastIndex(rest, "-")
+	if !found || k < 0 {
+		return 0, 0, false
+	}
+	seed, err1 := strconv.ParseInt(rest[:k], 10, 64)
+	idx, err2 := strconv.Atoi(rest[k+1:])
+	return seed, idx, err1 == nil && err2 == nil
 }
 
 func fatalf(format string, args ...any) {

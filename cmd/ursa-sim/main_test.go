@@ -27,6 +27,13 @@ func TestScenarioInputErrors(t *testing.T) {
 		{"built-in app without regions", []string{"-app", "media-service", "-regions"}, "media-service declares no regions"},
 		{"spec file without regions", []string{"-topology", "../../examples/specs/two-tier.json", "-regions"}, "declares no regions"},
 		{"missing spec file", []string{"-topology", "testdata/missing.yaml"}, "missing.yaml"},
+		{"sketch alpha above one", []string{"-telemetry", "sketch", "-sketch-alpha", "2"}, "-sketch-alpha 2"},
+		{"sketch alpha zero", []string{"-telemetry", "sketch", "-sketch-alpha", "0"}, "-sketch-alpha 0"},
+		{"zero minutes", []string{"-minutes", "0"}, "-minutes 0"},
+		{"negative minutes", []string{"-minutes", "-3"}, "-minutes -3"},
+		{"negative rps", []string{"-rps", "-1"}, "-rps -1"},
+		{"zero rps", []string{"-rps", "0"}, "-rps 0"},
+		{"negative retention", []string{"-retention", "-1"}, "-retention -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -35,6 +42,21 @@ func TestScenarioInputErrors(t *testing.T) {
 				t.Fatalf("scenario() error = %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDumpTopologyNames checks -dump-topology's name resolution: built-in
+// apps and whole corpus-s<seed>-<n> names dump, anything else is an error.
+func TestDumpTopologyNames(t *testing.T) {
+	for _, name := range []string{"media-service", "corpus-s1-2", "corpus-s1-002"} {
+		if data, err := dumpTopology(name); err != nil || len(data) == 0 {
+			t.Errorf("dumpTopology(%q) = %d bytes, %v", name, len(data), err)
+		}
+	}
+	for _, name := range []string{"corpus-s1-2junk", "corpus-s1x-2", "corpus-s1", "corpus-s-2", "shop"} {
+		if _, err := dumpTopology(name); err == nil || !strings.Contains(err.Error(), "unknown topology") {
+			t.Errorf("dumpTopology(%q) error = %v, want unknown topology", name, err)
+		}
 	}
 }
 

@@ -11,10 +11,9 @@
 // Release and SetDown are O(log n) in the node count, and the capacity
 // aggregates (TotalCapacity, AvailableCapacity, TotalUsed, the ErrNoCapacity
 // diagnostic) are kept incrementally instead of re-scanning all nodes — the
-// fleet-scale path for 1000-node clusters. The original linear best/worst-fit
-// scan is retained behind NewReference as the ground truth: the index must
-// pick a byte-identical node sequence, lowest-index tie-break included
-// (TestIndexedPlaceMatchesReference).
+// fleet-scale path for 1000-node clusters. The index must pick the node a
+// linear best/worst-fit scan would, lowest-index tie-break included;
+// TestIndexedPlaceMatchesReference checks it against that scan.
 package cluster
 
 import (
@@ -56,9 +55,6 @@ func (n *Node) SetDown(down bool) {
 	}
 	n.down = down
 	c := n.c
-	if c.linear {
-		return
-	}
 	if down {
 		c.idx.erase(n.i)
 		c.availCap -= n.Capacity
@@ -129,15 +125,9 @@ type Cluster struct {
 	byName   map[string]*Node
 	strategy Strategy
 
-	// linear marks a retained-reference cluster (NewReference): Place runs
-	// the original O(n) scan and every aggregate re-scans all nodes. The
-	// equivalence property test and the placement benchmarks drive both
-	// implementations against each other.
-	linear bool
-
-	// Incrementally maintained aggregates (indexed mode only). Capacities
-	// are fixed after New, so totalCap never changes; the others move in
-	// O(1) on Place/Release/SetDown.
+	// Incrementally maintained aggregates. Capacities are fixed after New,
+	// so totalCap never changes; the others move in O(1) on
+	// Place/Release/SetDown.
 	totalCap  float64
 	availCap  float64 // capacity summed over up nodes
 	usedUp    float64 // used CPUs summed over up nodes
@@ -154,18 +144,7 @@ type Cluster struct {
 
 // New builds a cluster from node capacities.
 func New(strategy Strategy, capacities ...float64) *Cluster {
-	return build(strategy, false, capacities)
-}
-
-// NewReference builds a cluster that places with the original linear
-// best/worst-fit scan instead of the free-capacity index — the retained
-// ground-truth implementation for equivalence tests and benchmarks.
-func NewReference(strategy Strategy, capacities ...float64) *Cluster {
-	return build(strategy, true, capacities)
-}
-
-func build(strategy Strategy, linear bool, capacities []float64) *Cluster {
-	c := &Cluster{strategy: strategy, linear: linear, byName: make(map[string]*Node, len(capacities))}
+	c := &Cluster{strategy: strategy, byName: make(map[string]*Node, len(capacities))}
 	for i, cap := range capacities {
 		if cap <= 0 {
 			panic("cluster: non-positive node capacity")
@@ -179,11 +158,9 @@ func build(strategy Strategy, linear bool, capacities []float64) *Cluster {
 	if len(c.nodes) == 0 {
 		panic("cluster: no nodes")
 	}
-	if !linear {
-		c.idx.init(len(c.nodes), strategy == WorstFit)
-		for _, n := range c.nodes {
-			c.idx.insert(n.i, n.Capacity)
-		}
+	c.idx.init(len(c.nodes), strategy == WorstFit)
+	for _, n := range c.nodes {
+		c.idx.insert(n.i, n.Capacity)
 	}
 	return c
 }
@@ -198,18 +175,12 @@ func PaperTestbed() *Cluster {
 // 8) — the cluster-size knob for fleet-scale experiments. Equal (n, seed)
 // produce identical clusters on any platform.
 func Synthetic(strategy Strategy, n int, seed int64) *Cluster {
-	return New(strategy, SyntheticCapacities(n, seed)...)
-}
-
-// SyntheticCapacities draws the node capacities Synthetic uses, so callers
-// can build a retained-reference twin (NewReference) of the same fleet.
-func SyntheticCapacities(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	caps := make([]float64, n)
 	for i := range caps {
 		caps[i] = float64(40 + 8*rng.Intn(7))
 	}
-	return caps
+	return New(strategy, caps...)
 }
 
 // Nodes lists the nodes (callers must not mutate).
@@ -221,42 +192,13 @@ func (c *Cluster) NodeByName(name string) *Node {
 }
 
 // TotalCapacity sums node capacities, down or not.
-func (c *Cluster) TotalCapacity() float64 {
-	if c.linear {
-		t := 0.0
-		for _, n := range c.nodes {
-			t += n.Capacity
-		}
-		return t
-	}
-	return c.totalCap
-}
+func (c *Cluster) TotalCapacity() float64 { return c.totalCap }
 
 // AvailableCapacity sums the capacities of up nodes only.
-func (c *Cluster) AvailableCapacity() float64 {
-	if c.linear {
-		t := 0.0
-		for _, n := range c.nodes {
-			if !n.down {
-				t += n.Capacity
-			}
-		}
-		return t
-	}
-	return c.availCap
-}
+func (c *Cluster) AvailableCapacity() float64 { return c.availCap }
 
 // TotalUsed sums allocated CPUs.
-func (c *Cluster) TotalUsed() float64 {
-	if c.linear {
-		t := 0.0
-		for _, n := range c.nodes {
-			t += n.used
-		}
-		return t
-	}
-	return c.totalUsed
-}
+func (c *Cluster) TotalUsed() float64 { return c.totalUsed }
 
 // ErrNoCapacity is returned when no node can host the replica. It carries
 // enough of the capacity picture to diagnose placement failures in long
@@ -296,9 +238,6 @@ func (c *Cluster) Place(cpus float64) (Placement, error) {
 	if cpus <= 0 {
 		panic("cluster: non-positive placement")
 	}
-	if c.linear {
-		return c.placeLinear(cpus)
-	}
 	var pick int32 = -1
 	switch c.strategy {
 	case BestFit:
@@ -323,7 +262,7 @@ func (c *Cluster) Place(cpus float64) (Placement, error) {
 	return c.commitPlace(c.nodes[pick], cpus), nil
 }
 
-// commitPlace books an indexed-mode allocation on the chosen node, keeping the
+// commitPlace books an allocation on the chosen node, keeping the
 // cluster-wide and (when the node belongs to one) group-level indexes and
 // aggregates in step.
 func (c *Cluster) commitPlace(best *Node, cpus float64) Placement {
@@ -347,43 +286,6 @@ func (c *Cluster) largestFree() float64 {
 	return 0
 }
 
-// placeLinear is the retained pre-index implementation: one O(n) scan per
-// placement, with an O(n) diagnostic scan on failure. The property test pins
-// the indexed path to this node for node.
-func (c *Cluster) placeLinear(cpus float64) (Placement, error) {
-	var best *Node
-	for _, n := range c.nodes {
-		if n.down || n.Free() < cpus-fitEps {
-			continue
-		}
-		if best == nil {
-			best = n
-			continue
-		}
-		// Strict comparisons keep the first (lowest-index) node on ties.
-		free, bfree := n.Free(), best.Free()
-		if (c.strategy == BestFit && free < bfree) || (c.strategy == WorstFit && free > bfree) {
-			best = n
-		}
-	}
-	if best == nil {
-		e := ErrNoCapacity{CPUs: cpus}
-		for _, n := range c.nodes {
-			if n.down {
-				e.DownNodes++
-				continue
-			}
-			if f := n.Free(); f > e.LargestFree {
-				e.LargestFree = f
-			}
-			e.TotalFree += n.Free()
-		}
-		return Placement{}, e
-	}
-	best.used += cpus
-	return Placement{Node: best, CPUs: cpus}, nil
-}
-
 // Release returns a placement's CPUs to its node.
 func (c *Cluster) Release(p Placement) {
 	if p.Node == nil {
@@ -397,9 +299,6 @@ func (c *Cluster) Release(p Placement) {
 	}
 	if n.used < 0 {
 		n.used = 0
-	}
-	if c.linear {
-		return
 	}
 	delta := old - n.used
 	c.totalUsed -= delta

@@ -8,12 +8,12 @@ import (
 
 // TestIndexedPlaceMatchesReference is the equivalence property pin for the
 // free-capacity index: randomized place/release/down/recover/CPU-factor
-// sequences must make the indexed cluster pick a byte-identical node
-// sequence — lowest-index tie-break included — to the retained linear-scan
-// reference, for both strategies, across ≥40 seeds. Aggregates and
-// ErrNoCapacity diagnostics are compared on every step too. Every drawn
-// size and capacity is a multiple of 0.5, so all float sums are exact and
-// equality checks are legitimate.
+// sequences must make the indexed cluster pick the node a linear
+// best/worst-fit scan of its own node state would pick — lowest-index
+// tie-break included — for both strategies, across ≥40 seeds. Aggregates and
+// ErrNoCapacity diagnostics are re-scanned and compared on every step too.
+// Every drawn size and capacity is a multiple of 0.5, so all float sums are
+// exact and equality checks are legitimate.
 func TestIndexedPlaceMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 48; seed++ {
 		for _, s := range []Strategy{BestFit, WorstFit} {
@@ -25,6 +25,50 @@ func TestIndexedPlaceMatchesReference(t *testing.T) {
 	}
 }
 
+// scanPlace is the linear best/worst-fit scan the index replaced: the node
+// Place must pick for cpus on c's current state, or the ErrNoCapacity it
+// must return, both computed with one O(n) pass over the nodes.
+func scanPlace(c *Cluster, cpus float64) (*Node, error) {
+	var best *Node
+	for _, n := range c.nodes {
+		if n.down || n.Free() < cpus-fitEps {
+			continue
+		}
+		// Strict comparisons keep the first (lowest-index) node on ties.
+		if best == nil ||
+			(c.strategy == BestFit && n.Free() < best.Free()) ||
+			(c.strategy == WorstFit && n.Free() > best.Free()) {
+			best = n
+		}
+	}
+	if best != nil {
+		return best, nil
+	}
+	e := ErrNoCapacity{CPUs: cpus}
+	for _, n := range c.nodes {
+		if n.down {
+			e.DownNodes++
+			continue
+		}
+		e.LargestFree = max(e.LargestFree, n.Free())
+		e.TotalFree += n.Free()
+	}
+	return nil, e
+}
+
+// scanAggregates re-sums TotalCapacity, AvailableCapacity and TotalUsed from
+// the nodes.
+func scanAggregates(c *Cluster) (total, avail, used float64) {
+	for _, n := range c.nodes {
+		total += n.Capacity
+		if !n.down {
+			avail += n.Capacity
+		}
+		used += n.used
+	}
+	return total, avail, used
+}
+
 func runEquivSequence(t *testing.T, seed int64, s Strategy) {
 	rng := rand.New(rand.NewSource(seed))
 	nNodes := 1 + rng.Intn(64)
@@ -32,67 +76,47 @@ func runEquivSequence(t *testing.T, seed int64, s Strategy) {
 	for i := range caps {
 		caps[i] = float64(4 + rng.Intn(61)) // 4..64 CPUs
 	}
-	idx := New(s, caps...)
-	ref := NewReference(s, caps...)
+	c := New(s, caps...)
 
-	type pair struct{ ip, rp Placement }
-	var live []pair
+	var live []Placement
 	for op := 0; op < 300; op++ {
 		switch u := rng.Float64(); {
 		case u < 0.55 || len(live) == 0:
 			cpus := 0.5 * float64(1+rng.Intn(16)) // 0.5 .. 8.0
-			ip, ierr := idx.Place(cpus)
-			rp, rerr := ref.Place(cpus)
+			want, werr := scanPlace(c, cpus)
+			p, err := c.Place(cpus)
 			switch {
-			case (ierr == nil) != (rerr == nil):
-				t.Fatalf("op %d: Place(%v) errs diverge: indexed %v, reference %v", op, cpus, ierr, rerr)
-			case ierr != nil:
-				if ierr.Error() != rerr.Error() {
-					t.Fatalf("op %d: Place(%v) error diverges:\n  indexed:   %v\n  reference: %v", op, cpus, ierr, rerr)
+			case (err == nil) != (werr == nil):
+				t.Fatalf("op %d: Place(%v) errs diverge: indexed %v, scan %v", op, cpus, err, werr)
+			case err != nil:
+				if err.Error() != werr.Error() {
+					t.Fatalf("op %d: Place(%v) error diverges:\n  indexed: %v\n  scan:    %v", op, cpus, err, werr)
 				}
 			default:
-				if ip.Node.Name != rp.Node.Name {
-					t.Fatalf("op %d: Place(%v) picked %s, reference picked %s", op, cpus, ip.Node.Name, rp.Node.Name)
+				if p.Node != want {
+					t.Fatalf("op %d: Place(%v) picked %s, scan picks %s", op, cpus, p.Node.Name, want.Name)
 				}
-				live = append(live, pair{ip, rp})
+				live = append(live, p)
 			}
 		case u < 0.80:
 			k := rng.Intn(len(live))
-			idx.Release(live[k].ip)
-			ref.Release(live[k].rp)
+			c.Release(live[k])
 			live = append(live[:k], live[k+1:]...)
 		case u < 0.92:
-			i := rng.Intn(nNodes)
-			down := rng.Float64() < 0.5
-			idx.nodes[i].SetDown(down)
-			ref.nodes[i].SetDown(down)
+			c.nodes[rng.Intn(nNodes)].SetDown(rng.Float64() < 0.5)
 		default:
 			// CPU interference must not perturb placement or the index.
-			i := rng.Intn(nNodes)
-			f := 0.25 + 1.5*rng.Float64()
-			idx.nodes[i].SetCPUFactor(f)
-			ref.nodes[i].SetCPUFactor(f)
+			c.nodes[rng.Intn(nNodes)].SetCPUFactor(0.25 + 1.5*rng.Float64())
 		}
-		if got, want := idx.TotalUsed(), ref.TotalUsed(); got != want {
-			t.Fatalf("op %d: TotalUsed %v != reference %v", op, got, want)
+		total, avail, used := scanAggregates(c)
+		if got := c.TotalUsed(); got != used {
+			t.Fatalf("op %d: TotalUsed %v != scan %v", op, got, used)
 		}
-		if got, want := idx.AvailableCapacity(), ref.AvailableCapacity(); got != want {
-			t.Fatalf("op %d: AvailableCapacity %v != reference %v", op, got, want)
+		if got := c.AvailableCapacity(); got != avail {
+			t.Fatalf("op %d: AvailableCapacity %v != scan %v", op, got, avail)
 		}
-		if got, want := idx.TotalCapacity(), ref.TotalCapacity(); got != want {
-			t.Fatalf("op %d: TotalCapacity %v != reference %v", op, got, want)
-		}
-		for i, n := range idx.nodes {
-			if rn := ref.nodes[i]; n.used != rn.used || n.down != rn.down {
-				t.Fatalf("op %d: node %d state diverged: used %v/%v down %v/%v",
-					op, i, n.used, rn.used, n.down, rn.down)
-			}
-		}
-		if op%37 == 0 {
-			cpus := 0.5 * float64(1+rng.Intn(8))
-			if got, want := idx.FitsReplicas(cpus), ref.FitsReplicas(cpus); got != want {
-				t.Fatalf("op %d: FitsReplicas(%v) %d != reference %d", op, cpus, got, want)
-			}
+		if got := c.TotalCapacity(); got != total {
+			t.Fatalf("op %d: TotalCapacity %v != scan %v", op, got, total)
 		}
 	}
 }

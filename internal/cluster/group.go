@@ -35,9 +35,7 @@ func (g *group) largestFree() float64 {
 // NewGrouped builds an indexed cluster partitioned into named node groups.
 // Nodes are named "<group>-<j>" (j counting within the group); the flat node
 // order is declaration order, so the global placement tie-break prefers
-// earlier-declared groups exactly as New prefers earlier capacities. Grouped
-// clusters always run the maintained index (there is no linear reference for
-// group-restricted placement).
+// earlier-declared groups exactly as New prefers earlier capacities.
 func NewGrouped(strategy Strategy, specs ...NodeGroup) *Cluster {
 	if len(specs) == 0 {
 		panic("cluster: no node groups")
@@ -46,7 +44,7 @@ func NewGrouped(strategy Strategy, specs ...NodeGroup) *Cluster {
 	for _, gs := range specs {
 		caps = append(caps, gs.Capacities...)
 	}
-	c := build(strategy, false, caps)
+	c := New(strategy, caps...)
 	c.groupByName = make(map[string]*group, len(specs))
 	i := 0
 	for _, gs := range specs {
@@ -86,16 +84,6 @@ func (n *Node) Group() string {
 	return n.g.name
 }
 
-// GroupNames lists the cluster's node groups in declaration order (nil on
-// ungrouped clusters).
-func (c *Cluster) GroupNames() []string {
-	var names []string
-	for _, g := range c.groups {
-		names = append(names, g.name)
-	}
-	return names
-}
-
 // GroupNodes lists a group's members (callers must not mutate), or nil for an
 // unknown group.
 func (c *Cluster) GroupNodes(name string) []*Node {
@@ -127,9 +115,6 @@ func (c *Cluster) GroupUsed(name string) float64 {
 func (c *Cluster) PlaceIn(name string, cpus float64) (Placement, error) {
 	if cpus <= 0 {
 		panic("cluster: non-positive placement")
-	}
-	if c.linear {
-		panic("cluster: PlaceIn on a reference (linear) cluster")
 	}
 	g := c.groupByName[name]
 	if g == nil {

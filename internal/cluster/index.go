@@ -12,10 +12,10 @@ package cluster
 //     on the largest free and, because equal-free ties sort lower indexes
 //     later, directly on the lowest-index holder of that maximum.
 //
-// Keys are the exact float64 free values the retained linear scan compares
-// (Capacity − used, maintained by identical arithmetic), and the tie order
-// reproduces its first-wins tie-break, so the index picks a byte-identical
-// node sequence — pinned by TestIndexedPlaceMatchesReference.
+// Keys are the exact float64 free values (Capacity − used) a linear
+// best/worst-fit scan compares, and the tie order reproduces the scan's
+// first-wins tie-break, so the index picks a byte-identical node sequence —
+// pinned by TestIndexedPlaceMatchesReference.
 //
 // Node slots are fixed at construction (clusters never grow), so the treap
 // lives in one flat per-node slot array with no allocation after New: an

@@ -6,40 +6,28 @@ import (
 )
 
 // BenchmarkPlace times one Place+Release cycle on a half-full synthetic
-// fleet, for the maintained free-capacity index ("indexed") and the retained
-// linear scan ("linear"), across node counts. The headline fleet-scale claim
-// is the indexed/linear ratio at 1024 nodes (BENCH_placement.json pins it).
+// fleet across node counts.
 func BenchmarkPlace(b *testing.B) {
-	for _, impl := range []string{"indexed", "linear"} {
-		for _, nodes := range []int{8, 64, 256, 1024} {
-			b.Run(fmt.Sprintf("%s/nodes=%d", impl, nodes), func(b *testing.B) {
-				for _, s := range []Strategy{WorstFit} {
-					caps := SyntheticCapacities(nodes, 7)
-					var c *Cluster
-					if impl == "indexed" {
-						c = New(s, caps...)
-					} else {
-						c = NewReference(s, caps...)
-					}
-					// Fill to ~50% so fit checks exercise realistic
-					// fragmentation rather than an empty fleet.
-					sizes := []float64{1, 2, 4, 8}
-					for i := 0; c.TotalUsed() < 0.5*c.TotalCapacity(); i++ {
-						if _, err := c.Place(sizes[i%len(sizes)]); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						p, err := c.Place(sizes[i%len(sizes)])
-						if err != nil {
-							b.Fatal(err)
-						}
-						c.Release(p)
-					}
+	for _, nodes := range []int{8, 64, 256, 1024} {
+		b.Run(fmt.Sprintf("indexed/nodes=%d", nodes), func(b *testing.B) {
+			c := Synthetic(WorstFit, nodes, 7)
+			// Fill to ~50% so fit checks exercise realistic fragmentation
+			// rather than an empty fleet.
+			sizes := []float64{1, 2, 4, 8}
+			for i := 0; c.TotalUsed() < 0.5*c.TotalCapacity(); i++ {
+				if _, err := c.Place(sizes[i%len(sizes)]); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := c.Place(sizes[i%len(sizes)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				c.Release(p)
+			}
+		})
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // DefaultRefreshInterval is the fleet steady-state cadence: once per metrics
 // window each tenant's manager re-solves against its live loads — almost
-// always served by the ReSolveEpsilon fast path under stable traffic.
+// always served by the incremental re-solve fast path under stable traffic.
 const DefaultRefreshInterval = sim.Minute
 
 // TenantSpec describes one application asking for admission to the shared
@@ -27,11 +27,6 @@ type TenantSpec struct {
 
 	Controller ControllerConfig
 	Anomaly    AnomalyConfig
-
-	// NoFastResolve disables the manager's incremental re-solve fast path
-	// (ReSolveEpsilon = 0), forcing a full model solve on every Optimize —
-	// the -no-fast-resolve escape hatch.
-	NoFastResolve bool
 }
 
 // Tenant is one admitted application: its manager, its deployed app, and the
@@ -94,9 +89,6 @@ func (a *Arbiter) Admit(ts TenantSpec) (*Tenant, error) {
 		return nil, fmt.Errorf("arbiter: duplicate tenant %q", ts.Name)
 	}
 	mgr := NewManager(ts.Spec, ts.Profiles)
-	if ts.NoFastResolve {
-		mgr.ReSolveEpsilon = 0
-	}
 	sol, err := mgr.Optimize(mgr.LoadsFromMix(ts.Mix, ts.TotalRPS))
 	if err != nil {
 		a.AdmissionRejects++
@@ -129,8 +121,8 @@ func (a *Arbiter) Admit(ts TenantSpec) (*Tenant, error) {
 
 // StartRefresh begins the fleet steady-state loop: every interval, each
 // tenant's manager re-solves against its live loads and refreshes its
-// controller and detector. Under stable traffic the ReSolveEpsilon fast
-// path serves these; a tenant whose load drifted past ε falls back to a
+// controller and detector. Under stable traffic the incremental fast path
+// serves these; a tenant whose load drifted past ε falls back to a
 // full solve on its own — no cross-tenant coupling.
 func (a *Arbiter) StartRefresh(interval sim.Time) {
 	if interval <= 0 {

@@ -144,7 +144,7 @@ func BenchmarkEstimateBound(b *testing.B) {
 // the O(terms) incumbent re-verification.
 func BenchmarkResolveFastPath(b *testing.B) {
 	m := fig11ScaleModel()
-	mgr := &Manager{Profiles: m.Profiles, Targets: m.Targets, ReSolveEpsilon: 0.05}
+	mgr := &Manager{Profiles: m.Profiles, Targets: m.Targets}
 	if _, err := mgr.Optimize(m.Loads); err != nil {
 		b.Fatal(err)
 	}

@@ -26,20 +26,8 @@ type Manager struct {
 	OptimizeCount   int
 	OptimizeSeconds float64
 
-	// ReSolveEpsilon enables the incremental re-solve fast path: when the
-	// profiles are unchanged and every per-(service,class) load moved by
-	// less than this relative fraction since the last full solve, Optimize
-	// re-verifies the incumbent pick in O(terms) and reuses it (with costs
-	// refreshed for the new loads) instead of re-running branch-and-bound.
-	// Latency rows and certified bounds are load-independent, so the reused
-	// incumbent stays feasible; within ε it also stays near-cheapest.
-	// NewManager sets DefaultReSolveEpsilon — the fast path is the default
-	// steady-state mode, with the full solve as fallback on any ε violation.
-	// 0 disables it (a zero-value Manager literal keeps every Optimize a
-	// full solve); experiments expose that via -no-fast-resolve.
-	ReSolveEpsilon float64
 	// FastResolveCount counts Optimize calls served by the incremental
-	// path (always ≤ OptimizeCount).
+	// re-solve fast path (always ≤ OptimizeCount).
 	FastResolveCount int
 
 	lastSol      *Solution
@@ -68,35 +56,26 @@ func TargetsFor(spec services.AppSpec) []ClassTarget {
 	return out
 }
 
-// DefaultReSolveEpsilon is the relative load-drift tolerance NewManager
-// installs for the incremental re-solve fast path: steady-state re-solves
-// whose every load moved < 5% reuse the verified incumbent instead of
-// re-running branch-and-bound (~10 µs vs ~39 µs per BENCH_decision.json).
-const DefaultReSolveEpsilon = 0.05
+// fastResolveTolerance is the relative load drift (ε) the incremental
+// re-solve fast path absorbs: when the profiles are unchanged and every
+// per-(service,class) load moved by less than 5% since the last full solve,
+// Optimize re-verifies the incumbent pick in O(terms) and reuses it (with
+// costs refreshed for the new loads) instead of re-running branch-and-bound
+// (~10 µs vs ~39 µs per BENCH_decision.json). Latency rows and certified
+// bounds are load-independent, so the reused incumbent stays feasible;
+// within ε it also stays near-cheapest. Any ε violation falls back to the
+// full solve.
+const fastResolveTolerance = 0.05
 
-// NewManager builds a manager from exploration output, with the incremental
-// re-solve fast path on at DefaultReSolveEpsilon.
+// NewManager builds a manager from exploration output.
 func NewManager(spec services.AppSpec, profiles map[string]*Profile) *Manager {
-	return &Manager{
-		Spec:           spec,
-		Profiles:       profiles,
-		Targets:        TargetsFor(spec),
-		ReSolveEpsilon: DefaultReSolveEpsilon,
-	}
-}
-
-// CloneFresh returns a new manager sharing this one's spec, exploration
-// profiles and fast-path setting but with pristine runtime state — deploying
-// the same exploration output onto another application instance, as the
-// paper does across its load scenarios.
-func (m *Manager) CloneFresh() *Manager {
-	return &Manager{Spec: m.Spec, Profiles: m.Profiles, Targets: m.Targets, ReSolveEpsilon: m.ReSolveEpsilon}
+	return &Manager{Spec: spec, Profiles: profiles, Targets: TargetsFor(spec)}
 }
 
 // Optimize solves the performance model for the given per-service loads and
-// returns the threshold solution, accounting its wall-clock cost. With
-// ReSolveEpsilon set, near-identical re-solves are served by the incremental
-// fast path instead of a full search.
+// returns the threshold solution, accounting its wall-clock cost.
+// Near-identical re-solves are served by the incremental fast path instead
+// of a full search.
 func (m *Manager) Optimize(loads map[string]map[string]float64) (*Solution, error) {
 	start := nowWall()
 	if sol, ok := m.resolveIncremental(loads); ok {
@@ -138,14 +117,14 @@ func (m *Manager) rememberSolve(loads map[string]map[string]float64, sol *Soluti
 }
 
 // resolveIncremental serves Optimize from the previous solution when the
-// model moved less than ReSolveEpsilon: profiles identical (by pointer),
+// model moved less than fastResolveTolerance: profiles identical (by pointer),
 // the same set of loaded (service, class) pairs, and every load within the
 // relative ε of its value at the last full solve. The incumbent's latency
 // rows, bounds and percentile assignment do not depend on loads, so only
 // feasibility is re-checked (O(targets)) and the per-choice costs are
 // recomputed for the new loads (O(services × classes)) — no search.
 func (m *Manager) resolveIncremental(loads map[string]map[string]float64) (*Solution, bool) {
-	if m.ReSolveEpsilon <= 0 || m.lastSol == nil {
+	if m.lastSol == nil {
 		return nil, false
 	}
 	if len(m.Profiles) != len(m.lastProfiles) {
@@ -172,7 +151,7 @@ func (m *Manager) resolveIncremental(loads map[string]map[string]float64) (*Solu
 			if !okc || ov <= 0 || v <= 0 {
 				return nil, false
 			}
-			if math.Abs(v-ov)/ov >= m.ReSolveEpsilon {
+			if math.Abs(v-ov)/ov >= fastResolveTolerance {
 				return nil, false
 			}
 		}

@@ -116,7 +116,6 @@ func TestOptimizeIncrementalFastPath(t *testing.T) {
 		Profiles: twoServiceModel(150).Profiles,
 		Targets:  twoServiceModel(150).Targets,
 	}
-	mgr.ReSolveEpsilon = 0.1
 	loads := map[string]map[string]float64{"a": {"req": 100}, "b": {"req": 100}}
 	full, err := mgr.Optimize(loads)
 	if err != nil {
@@ -126,9 +125,9 @@ func TestOptimizeIncrementalFastPath(t *testing.T) {
 		t.Fatalf("first solve must be full, FastResolveCount=%d", mgr.FastResolveCount)
 	}
 
-	// Loads move by 5% (< ε): fast path, same picks and bounds, refreshed
+	// Loads move by 4% (< ε): fast path, same picks and bounds, refreshed
 	// costs.
-	moved := map[string]map[string]float64{"a": {"req": 105}, "b": {"req": 105}}
+	moved := map[string]map[string]float64{"a": {"req": 104}, "b": {"req": 104}}
 	fast, err := mgr.Optimize(moved)
 	if err != nil {
 		t.Fatal(err)
@@ -190,38 +189,13 @@ func TestOptimizeIncrementalFastPath(t *testing.T) {
 	}
 }
 
-// TestOptimizeFastPathOffForZeroValue pins the escape hatch: a zero-value
-// Manager literal (ReSolveEpsilon 0) must run a full solve on every Optimize.
-func TestOptimizeFastPathOffForZeroValue(t *testing.T) {
-	m := twoServiceModel(150)
-	mgr := &Manager{Profiles: m.Profiles, Targets: m.Targets}
-	loads := map[string]map[string]float64{"a": {"req": 100}, "b": {"req": 100}}
-	for i := 0; i < 3; i++ {
-		if _, err := mgr.Optimize(loads); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mgr.FastResolveCount != 0 {
-		t.Fatalf("fast path must be off at ε=0, FastResolveCount=%d", mgr.FastResolveCount)
-	}
-	if mgr.OptimizeCount != 3 {
-		t.Fatalf("OptimizeCount = %d", mgr.OptimizeCount)
-	}
-}
-
-// TestNewManagerFastPathDefaultOn pins the flipped default: managers built by
-// NewManager (and their CloneFresh copies) serve steady-state re-solves from
-// the incremental path, and fall back to a full solve past ε drift.
+// TestNewManagerFastPathDefaultOn pins the default: managers built by
+// NewManager serve steady-state re-solves from the incremental path, and
+// fall back to a full solve past ε drift.
 func TestNewManagerFastPathDefaultOn(t *testing.T) {
 	m := twoServiceModel(150)
 	mgr := NewManager(services.AppSpec{}, m.Profiles)
 	mgr.Targets = m.Targets
-	if mgr.ReSolveEpsilon != DefaultReSolveEpsilon {
-		t.Fatalf("NewManager ReSolveEpsilon = %v, want DefaultReSolveEpsilon %v", mgr.ReSolveEpsilon, DefaultReSolveEpsilon)
-	}
-	if got := mgr.CloneFresh().ReSolveEpsilon; got != mgr.ReSolveEpsilon {
-		t.Fatalf("CloneFresh dropped ReSolveEpsilon: %v", got)
-	}
 	loads := map[string]map[string]float64{"a": {"req": 100}, "b": {"req": 100}}
 	if _, err := mgr.Optimize(loads); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ursa/internal/services"
+	"ursa/internal/sim"
 	"ursa/internal/topology"
 )
 
@@ -286,18 +287,29 @@ func TestCorpusShapes(t *testing.T) {
 }
 
 // TestExperimentErrorsReturned pins the error returns that replaced panics:
-// an undeployable app case fails RunAccuracy, and a result JSON cannot
-// encode (a NaN rate) fails CorpusResult.JSON.
+// an undeployable app case fails RunAccuracy and a Fig. R2 tenant deploy,
+// and a result JSON that cannot encode (a NaN rate) fails CorpusResult.JSON
+// and ScalingResult.JSON.
 func TestExperimentErrorsReturned(t *testing.T) {
 	bad := services.AppSpec{Name: "bad", Classes: []services.ClassSpec{{Name: "get", Entry: "missing"}}}
 	if _, err := RunAccuracy(quick(), AppCase{Name: "bad", Spec: bad}, nil); err == nil {
 		t.Error("RunAccuracy deployed an app whose class has no entry service")
 	}
+	opts := quick()
+	if _, err := opts.runSunSystem(AppCase{Name: "bad", Spec: bad}, "auto-a", sim.Minute); err == nil {
+		t.Error("figr2 deployed an app whose class has no entry service")
+	}
 	if _, err := (CorpusResult{Worst: []CorpusWorst{{ViolationRate: math.NaN()}}}).JSON(); err == nil {
 		t.Error("CorpusResult.JSON encoded a NaN")
 	}
+	if _, err := (ScalingResult{NodeSweep: []ScalingCell{{ViolationRate: math.NaN()}}}).JSON(); err == nil {
+		t.Error("ScalingResult.JSON encoded a NaN")
+	}
 }
 
+// TestScalingShapes checks the Fig. S1 grid's shape and pins its simulated
+// columns (admitted, rejected, fast_share, violation_rate, unschedulable)
+// cell for cell against testdata/figs1.golden.
 func TestScalingShapes(t *testing.T) {
 	params := ScalingParams{Nodes: []int{8, 16}, Tenants: []int{1, 2}, FixedNodes: 16, FixedTenants: 2}
 	r := RunScaling(quick(), params)
@@ -311,32 +323,28 @@ func TestScalingShapes(t *testing.T) {
 		if c.Admitted > 0 && c.DecisionMs <= 0 {
 			t.Errorf("cell nodes=%d tenants=%d: no decision latency recorded", c.Nodes, c.Tenants)
 		}
-		if c.PlaceNsIndexed <= 0 || c.PlaceNsLinear <= 0 {
-			t.Errorf("cell nodes=%d tenants=%d: placement timing missing", c.Nodes, c.Tenants)
-		}
 	}
-	// The fast path is on by default at fleet scale; a steady constant load
-	// must serve a meaningful share of re-solves incrementally.
+	// The fast path is on at fleet scale; a steady constant load must serve
+	// a meaningful share of re-solves incrementally.
 	last := r.TenantSweep[len(r.TenantSweep)-1]
 	if last.Admitted > 0 && last.FastShare <= 0 {
-		t.Errorf("fast_share = 0 with the fast path on by default")
+		t.Errorf("fast_share = 0 with the fast path on")
 	}
 	if !strings.Contains(r.Render(), "Fig.S1") {
 		t.Error("render missing header")
 	}
-	// Simulated metrics are reproducible; wall-clock fields are not, so
-	// compare the deterministic subset.
-	r2 := RunScaling(quick(), params)
-	detKey := func(res ScalingResult) string {
-		var b strings.Builder
-		for _, c := range append(append([]ScalingCell{}, res.NodeSweep...), res.TenantSweep...) {
-			fmt.Fprintf(&b, "%d/%d:%d/%d/%v/%d\n", c.Nodes, c.Tenants, c.Admitted, c.Rejected, c.ViolationRate, c.Unschedulable)
+	// Wall-clock fields are not reproducible, so the golden holds the
+	// deterministic subset.
+	var b strings.Builder
+	row := func(sweep string, cells []ScalingCell) {
+		for _, c := range cells {
+			fmt.Fprintf(&b, "%s nodes=%d tenants=%d admitted=%d rejected=%d fast_share=%v violation_rate=%v unschedulable=%d\n",
+				sweep, c.Nodes, c.Tenants, c.Admitted, c.Rejected, c.FastShare, c.ViolationRate, c.Unschedulable)
 		}
-		return b.String()
 	}
-	if detKey(r) != detKey(r2) {
-		t.Error("scaling simulated metrics not reproducible for identical options")
-	}
+	row("node", r.NodeSweep)
+	row("tenant", r.TenantSweep)
+	assertGolden(t, "testdata/figs1.golden", b.String())
 }
 
 func TestCorpusBeats(t *testing.T) {

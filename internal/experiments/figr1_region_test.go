@@ -70,7 +70,10 @@ func TestRegionFailoverShapes(t *testing.T) {
 }
 
 func TestFollowTheSunShapes(t *testing.T) {
-	r := RunFollowTheSun(quick())
+	r, err := RunFollowTheSun(quick())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Cells) != len(SunSystems())*len(sunRegions()) {
 		t.Fatalf("cells = %d", len(r.Cells))
 	}
@@ -132,7 +135,15 @@ func TestRegionParallelismInvariant(t *testing.T) {
 	if a, b := a.Render(), b.Render(); a != b {
 		t.Fatalf("figr1 output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}
-	if a, b := RunFollowTheSun(seq).Render(), RunFollowTheSun(par).Render(); a != b {
+	sunSeq, err := RunFollowTheSun(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sunPar, err := RunFollowTheSun(par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := sunSeq.Render(), sunPar.Render(); a != b {
 		t.Fatalf("figr2 output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}
 }
@@ -146,6 +157,8 @@ func BenchmarkRegion(b *testing.B) {
 		if _, err := RunRegionFailover(opts); err != nil {
 			b.Fatal(err)
 		}
-		RunFollowTheSun(opts)
+		if _, err := RunFollowTheSun(opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

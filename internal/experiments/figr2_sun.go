@@ -6,6 +6,7 @@ import (
 
 	"ursa/internal/baselines"
 	"ursa/internal/cluster"
+	"ursa/internal/core"
 	"ursa/internal/region"
 	"ursa/internal/services"
 	"ursa/internal/sim"
@@ -64,8 +65,9 @@ func sunTopology() region.Topology {
 // RunFollowTheSun executes the Fig. R2 grid: per system, three tenants on one
 // shared cluster, each pinned to its own region and loaded with a diurnal
 // pattern offset by a third of the period. Systems run concurrently up to
-// Options.Parallelism and merge in canonical order.
-func RunFollowTheSun(opts Options) SunResult {
+// Options.Parallelism and merge in canonical order. A region map or app that
+// fails to build is returned as an error.
+func RunFollowTheSun(opts Options) (SunResult, error) {
 	opts.defaults()
 	dur := opts.scaleTime(48*sim.Minute, 16*sim.Minute)
 	c, _ := AppCaseByName("social-network")
@@ -73,20 +75,24 @@ func RunFollowTheSun(opts Options) SunResult {
 
 	systems := SunSystems()
 	rows := make([][]SunCell, len(systems))
-	opts.forEach(len(systems), func(i int) {
+	err := opts.forEachErr(len(systems), func(i int) (err error) {
 		opts.logf("figr2: %s", systems[i])
-		rows[i] = opts.runSunSystem(c, systems[i], dur)
+		rows[i], err = opts.runSunSystem(c, systems[i], dur)
+		return err
 	})
+	if err != nil {
+		return SunResult{}, err
+	}
 	for _, r := range rows {
 		res.Cells = append(res.Cells, r...)
 	}
-	return res
+	return res, nil
 }
 
 // runSunSystem deploys one tenant copy of the app per region on a shared
 // grouped cluster — each with its own region map (all services bound home)
 // and its own manager — and drives the phase-shifted diurnal load.
-func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell {
+func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) ([]SunCell, error) {
 	eng := sim.NewEngine(o.Seed + 1000)
 	topo := sunTopology()
 	topo.Spill = system == "ursa"
@@ -107,13 +113,13 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 		}
 		m, err := region.New(t, cl)
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("figr2: %s region map: %w", home, err)
 		}
 		spec := c.Spec
 		spec.Name = c.Spec.Name + "-" + home
 		app, err := services.NewAppWith(eng, spec, services.AppOptions{Cluster: cl, Placer: m})
 		if err != nil {
-			panic(err)
+			return nil, fmt.Errorf("figr2: %s app: %w", home, err)
 		}
 		m.Bind(eng, app)
 
@@ -122,7 +128,7 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 			// Share the one cached exploration across tenants: the profiles
 			// depend on the spec's services, not the tenant name.
 			_, profiles, _ := o.ursaProfiles(c)
-			mgr = &ursaAdapter{mgr: o.newCoreManager(spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
+			mgr = &ursaAdapter{mgr: core.NewManager(spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
 		} else {
 			mgr = o.newManagerFor(c, system)
 		}
@@ -171,7 +177,7 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) []SunCell
 			Spilled:       t.m.Spilled,
 		}
 	}
-	return cells
+	return cells, nil
 }
 
 // Cell finds a specific result.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"ursa/internal/cluster"
 	"ursa/internal/core"
@@ -19,12 +18,11 @@ import (
 // shared arbiter. Two sweeps share one generated tenant fleet: nodes at a
 // fixed tenant count, and tenants at a fixed node count. Each cell deploys
 // the fleet through core.Arbiter (admission → per-tenant managers →
-// steady-state refresh), measures decision latency, fast-path share, mean
-// SLA violation rate and admission outcomes, and micro-times Place+Release
-// on a half-filled twin pair of clusters — the maintained free-capacity
-// index against the retained linear reference. Simulated metrics are
-// deterministic per (seed, scale); the *_ns placement timings and
-// decision_ms are wall-clock, like Table VI's.
+// steady-state refresh) and measures decision latency, fast-path share,
+// mean SLA violation rate and admission outcomes. Simulated metrics are
+// deterministic per (seed, scale); decision_ms is wall-clock, like Table
+// VI's. Placement cost per node count is BenchmarkPlace's job
+// (internal/cluster).
 
 // ScalingParams sizes the Fig. S1 grid.
 type ScalingParams struct {
@@ -38,9 +36,6 @@ type ScalingParams struct {
 	FixedNodes int
 	// FixedTenants is the tenant count of the node sweep (default 8).
 	FixedTenants int
-	// NoFastResolve disables the managers' incremental re-solve fast path
-	// (the -no-fast-resolve escape hatch).
-	NoFastResolve bool
 }
 
 func (p *ScalingParams) defaults() {
@@ -72,11 +67,6 @@ type ScalingCell struct {
 	// FastShare is the fraction of model solves served by the incremental
 	// re-solve fast path.
 	FastShare float64 `json:"fast_share"`
-	// PlaceNsIndexed/PlaceNsLinear micro-time one Place+Release cycle on a
-	// ~55%-filled cluster of this size; PlaceSpeedup is their ratio.
-	PlaceNsIndexed float64 `json:"place_ns_indexed"`
-	PlaceNsLinear  float64 `json:"place_ns_linear"`
-	PlaceSpeedup   float64 `json:"place_speedup"`
 	// ViolationRate is the mean per-tenant SLA violation fraction.
 	ViolationRate float64 `json:"violation_rate"`
 	// Unschedulable counts replica placements that failed for capacity.
@@ -86,13 +76,12 @@ type ScalingCell struct {
 // ScalingResult is the full Fig. S1 output, JSON-serializable for
 // BENCH_placement.json.
 type ScalingResult struct {
-	Seed          int64         `json:"seed"`
-	Scale         float64       `json:"scale"`
-	NoFastResolve bool          `json:"no_fast_resolve,omitempty"`
-	FixedNodes    int           `json:"fixed_nodes"`
-	FixedTenants  int           `json:"fixed_tenants"`
-	NodeSweep     []ScalingCell `json:"node_sweep"`
-	TenantSweep   []ScalingCell `json:"tenant_sweep"`
+	Seed         int64         `json:"seed"`
+	Scale        float64       `json:"scale"`
+	FixedNodes   int           `json:"fixed_nodes"`
+	FixedTenants int           `json:"fixed_tenants"`
+	NodeSweep    []ScalingCell `json:"node_sweep"`
+	TenantSweep  []ScalingCell `json:"tenant_sweep"`
 }
 
 // GenerateFleetCase builds tenant i of the experiment fleet for the given
@@ -111,36 +100,9 @@ func GenerateFleetCase(seed int64, i int) (AppCase, error) {
 	return AppCase{Name: f.App, Spec: c.Spec, Mix: c.Mix, TotalRPS: c.Rate}, nil
 }
 
-// placeCycleNs micro-times Place+Release on a fresh synthetic cluster of n
-// nodes filled to ~55%, indexed or linear.
-func placeCycleNs(n int, seed int64, linear bool, iters int) float64 {
-	caps := cluster.SyntheticCapacities(n, seed)
-	var cl *cluster.Cluster
-	if linear {
-		cl = cluster.NewReference(cluster.WorstFit, caps...)
-	} else {
-		cl = cluster.New(cluster.WorstFit, caps...)
-	}
-	sizes := []float64{1, 2, 4, 8}
-	for i := 0; cl.TotalUsed() < 0.55*cl.TotalCapacity(); i++ {
-		if _, err := cl.Place(sizes[i%len(sizes)]); err != nil {
-			panic(err)
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		p, err := cl.Place(sizes[i%len(sizes)])
-		if err != nil {
-			panic(err)
-		}
-		cl.Release(p)
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(iters)
-}
-
 // runScalingCell deploys a tenant fleet on a synthetic cluster behind one
 // arbiter and drives it under each tenant's nominal load.
-func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool) ScalingCell {
+func runScalingCell(opts Options, nodes, tenants int, dur sim.Time) ScalingCell {
 	cell := ScalingCell{Nodes: nodes, Tenants: tenants}
 
 	eng := sim.NewEngine(opts.Seed + 2000)
@@ -162,12 +124,11 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 		}
 		_, profiles, _ := opts.ursaProfiles(c)
 		return arb.Admit(core.TenantSpec{
-			Name:          c.Name,
-			Spec:          c.Spec,
-			Profiles:      profiles,
-			Mix:           c.Mix,
-			TotalRPS:      c.TotalRPS,
-			NoFastResolve: noFast,
+			Name:     c.Name,
+			Spec:     c.Spec,
+			Profiles: profiles,
+			Mix:      c.Mix,
+			TotalRPS: c.TotalRPS,
 		})
 	}
 	admitted := make([]*core.Tenant, 0, tenants)
@@ -198,13 +159,6 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 		cell.Unschedulable = arb.UnschedulableEvents()
 		arb.Stop()
 	}
-
-	iters := opts.scaleInt(200000, 20000)
-	cell.PlaceNsIndexed = placeCycleNs(nodes, opts.Seed, false, iters)
-	cell.PlaceNsLinear = placeCycleNs(nodes, opts.Seed, true, iters)
-	if cell.PlaceNsIndexed > 0 {
-		cell.PlaceSpeedup = cell.PlaceNsLinear / cell.PlaceNsIndexed
-	}
 	return cell
 }
 
@@ -214,15 +168,11 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time, noFast bool)
 func RunScaling(opts Options, params ScalingParams) ScalingResult {
 	opts.defaults()
 	params.defaults()
-	if opts.NoFastResolve {
-		params.NoFastResolve = true
-	}
 	res := ScalingResult{
-		Seed:          opts.Seed,
-		Scale:         opts.Scale,
-		NoFastResolve: params.NoFastResolve,
-		FixedNodes:    params.FixedNodes,
-		FixedTenants:  params.FixedTenants,
+		Seed:         opts.Seed,
+		Scale:        opts.Scale,
+		FixedNodes:   params.FixedNodes,
+		FixedTenants: params.FixedTenants,
 	}
 
 	dur := opts.scaleTime(10*sim.Minute, 4*sim.Minute)
@@ -237,7 +187,7 @@ func RunScaling(opts Options, params ScalingParams) ScalingResult {
 	cells := make([]ScalingCell, len(jobs))
 	opts.forEach(len(jobs), func(i int) {
 		opts.logf("figs1: nodes=%d tenants=%d", jobs[i].nodes, jobs[i].tenants)
-		cells[i] = runScalingCell(opts, jobs[i].nodes, jobs[i].tenants, dur, params.NoFastResolve)
+		cells[i] = runScalingCell(opts, jobs[i].nodes, jobs[i].tenants, dur)
 	})
 	res.NodeSweep = cells[:len(params.Nodes)]
 	res.TenantSweep = cells[len(params.Nodes):]
@@ -245,31 +195,27 @@ func RunScaling(opts Options, params ScalingParams) ScalingResult {
 }
 
 // JSON renders the result for BENCH_placement.json.
-func (r ScalingResult) JSON() []byte {
+func (r ScalingResult) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(r, "", " ")
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return append(data, '\n')
+	return append(data, '\n'), nil
 }
 
 // Render prints the Fig. S1 scaling tables.
 func (r ScalingResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Fig.S1 — fleet scaling curve (seed %d, scale %.2f", r.Seed, r.Scale)
-	if r.NoFastResolve {
-		b.WriteString(", fast resolve off")
-	}
-	b.WriteString(")\nplace-ns and decision-ms are wall-clock; simulated metrics are deterministic\n")
+	fmt.Fprintf(&b, "Fig.S1 — fleet scaling curve (seed %d, scale %.2f)\n", r.Seed, r.Scale)
+	b.WriteString("decision-ms is wall-clock; simulated metrics are deterministic\n")
 
 	table := func(title, key string, cells []ScalingCell, label func(ScalingCell) int) {
 		fmt.Fprintf(&b, "\n%s\n", title)
-		fmt.Fprintf(&b, "%8s %12s %12s %8s %11s %6s %6s %9s %7s %8s\n",
-			key, "place-idx", "place-lin", "speedup", "decision", "fast", "viol", "admitted", "reject", "unsched")
+		fmt.Fprintf(&b, "%8s %11s %6s %6s %9s %7s %8s\n",
+			key, "decision", "fast", "viol", "admitted", "reject", "unsched")
 		for _, c := range cells {
-			fmt.Fprintf(&b, "%8d %10.0fns %10.0fns %7.1fx %9.3fms %5.0f%% %5.1f%% %9d %7d %8d\n",
-				label(c), c.PlaceNsIndexed, c.PlaceNsLinear, c.PlaceSpeedup,
-				c.DecisionMs, c.FastShare*100, c.ViolationRate*100,
+			fmt.Fprintf(&b, "%8d %9.3fms %5.0f%% %5.1f%% %9d %7d %8d\n",
+				label(c), c.DecisionMs, c.FastShare*100, c.ViolationRate*100,
 				c.Admitted, c.Rejected, c.Unschedulable)
 		}
 	}

@@ -42,11 +42,6 @@ type Options struct {
 	// sequential execution. Results are merged in a canonical order, so any
 	// setting produces byte-identical rendered output.
 	Parallelism int
-	// NoFastResolve disables the managers' incremental re-solve fast path
-	// (ReSolveEpsilon = 0), forcing a full model solve on every Optimize —
-	// the -no-fast-resolve escape hatch, and the way to reproduce outputs
-	// from before the fast path became the default.
-	NoFastResolve bool
 }
 
 func (o *Options) defaults() {
@@ -256,17 +251,7 @@ func (o *Options) newUrsa(c AppCase) *ursaAdapter {
 
 // ursaWith builds Ursa for a case from already-explored profiles.
 func (o *Options) ursaWith(c AppCase, profiles map[string]*core.Profile) *ursaAdapter {
-	return &ursaAdapter{mgr: o.newCoreManager(c.Spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
-}
-
-// newCoreManager builds an Ursa manager with the harness-level fast-path
-// setting applied; every experiment constructs its managers through this.
-func (o *Options) newCoreManager(spec services.AppSpec, profiles map[string]*core.Profile) *core.Manager {
-	mgr := core.NewManager(spec, profiles)
-	if o.NoFastResolve {
-		mgr.ReSolveEpsilon = 0
-	}
-	return mgr
+	return &ursaAdapter{mgr: core.NewManager(c.Spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
 }
 
 // newSinan hands out a fresh clone of the trained Sinan prototype for a

@@ -30,11 +30,8 @@ type Windowed struct {
 	window sim.Time
 	// alpha > 0 selects sketch mode with that relative-error bound.
 	alpha float64
-	// maxWindows, when > 0, caps retained windows ring-buffer style: the
-	// oldest window is dropped as a new one opens.
-	maxWindows int
 
-	// Live windows are start[head:] — head advances on Trim/eviction and the
+	// Live windows are start[head:] — head advances on Trim and the
 	// arrays compact (copy down) only when more than half is dead, so
 	// trimming is amortized O(1) per window instead of O(windows) per call.
 	head    int
@@ -76,10 +73,6 @@ func (w *Windowed) Sketched() bool { return w.alpha > 0 }
 // Alpha reports the sketch relative-error bound (0 in exact mode).
 func (w *Windowed) Alpha() float64 { return w.alpha }
 
-// SetMaxWindows caps retained windows (0 = unbounded): once the cap is
-// reached, opening a new window evicts the oldest.
-func (w *Windowed) SetMaxWindows(n int) { w.maxWindows = n }
-
 // newSketch hands out a recycled or fresh per-window sketch.
 func (w *Windowed) newSketch() *stats.Sketch {
 	if n := len(w.free); n > 0 {
@@ -99,13 +92,8 @@ func (w *Windowed) addAt(i int, v float64) {
 	w.samples[i] = append(w.samples[i], v)
 }
 
-// appendWindow opens a new newest window, evicting the oldest if a cap is
-// set and reached.
+// appendWindow opens a new newest window.
 func (w *Windowed) appendWindow(ws sim.Time) {
-	if w.maxWindows > 0 && len(w.start)-w.head >= w.maxWindows {
-		w.dropOldest()
-		w.compact()
-	}
 	w.start = append(w.start, ws)
 	if w.Sketched() {
 		w.sketches = append(w.sketches, w.newSketch())
@@ -404,10 +392,9 @@ func (w *Windowed) FootprintBytes() int {
 
 // LatencyRecorder keeps one Windowed collector per request class.
 type LatencyRecorder struct {
-	window     sim.Time
-	alpha      float64 // >0: per-class collectors are sketch-backed
-	maxWindows int
-	byClass    map[string]*Windowed
+	window  sim.Time
+	alpha   float64 // >0: per-class collectors are sketch-backed
+	byClass map[string]*Windowed
 }
 
 // NewLatencyRecorder returns an empty exact-mode recorder with the given
@@ -424,15 +411,6 @@ func NewLatencyRecorderSketch(window sim.Time, alpha float64) *LatencyRecorder {
 	return r
 }
 
-// SetMaxWindows caps retained windows per class (applies to collectors
-// created after the call and existing ones).
-func (r *LatencyRecorder) SetMaxWindows(n int) {
-	r.maxWindows = n
-	for _, w := range r.byClass {
-		w.SetMaxWindows(n)
-	}
-}
-
 // Record stores a latency sample (milliseconds) for a request class.
 func (r *LatencyRecorder) Record(t sim.Time, class string, latencyMs float64) {
 	w, ok := r.byClass[class]
@@ -442,7 +420,6 @@ func (r *LatencyRecorder) Record(t sim.Time, class string, latencyMs float64) {
 		} else {
 			w = NewWindowed(r.window)
 		}
-		w.SetMaxWindows(r.maxWindows)
 		r.byClass[class] = w
 	}
 	w.Add(t, latencyMs)
@@ -488,8 +465,7 @@ func (r *LatencyRecorder) Reset() {
 // Storage is a head-indexed ring with a running prefix sum, so range totals
 // are O(log windows) and retention trims are amortized O(1).
 type CounterSeries struct {
-	window     sim.Time
-	maxWindows int
+	window sim.Time
 
 	head   int
 	start  []sim.Time
@@ -510,9 +486,6 @@ func NewCounterSeries(window sim.Time) *CounterSeries {
 	return &CounterSeries{window: window}
 }
 
-// SetMaxWindows caps retained windows (0 = unbounded), ring-buffer style.
-func (c *CounterSeries) SetMaxWindows(n int) { c.maxWindows = n }
-
 // cumAt reads the cumulative count through physical index i (i may be
 // head−1 … −1 for "before everything retained").
 func (c *CounterSeries) cumAt(i int) float64 {
@@ -529,11 +502,6 @@ func (c *CounterSeries) Inc(t sim.Time, n float64) {
 	ws := t / c.window * c.window
 	m := len(c.start)
 	if m == c.head || c.start[m-1] < ws {
-		if c.maxWindows > 0 && m-c.head >= c.maxWindows {
-			c.head++
-			c.compact()
-			m = len(c.start)
-		}
 		c.start = append(c.start, ws)
 		c.counts = append(c.counts, n)
 		c.cum = append(c.cum, c.cumAt(m-1)+n)

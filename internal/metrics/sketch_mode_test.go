@@ -34,9 +34,9 @@ func latencyStream(seed int64, n, spanMin int) ([]sim.Time, []float64) {
 // must be credited to the window it belongs to, not the newest window.
 func TestWindowedOutOfOrderRouting(t *testing.T) {
 	w := NewWindowed(sim.Minute)
-	w.Add(10*sim.Second, 1)      // window 0
-	w.Add(3*sim.Minute, 100)     // window 3 (newest)
-	w.Add(30*sim.Second, 2)      // late arrival for window 0
+	w.Add(10*sim.Second, 1)          // window 0
+	w.Add(3*sim.Minute, 100)         // window 3 (newest)
+	w.Add(30*sim.Second, 2)          // late arrival for window 0
 	w.Add(sim.Minute+sim.Second, 50) // late arrival for never-seen window 1
 
 	if n := w.Count(0, sim.Minute); n != 2 {
@@ -221,9 +221,8 @@ func TestWindowedSketchMemoryFlat(t *testing.T) {
 	}
 }
 
-// TestWindowedTrimRingAmortized: the head-indexed ring keeps samples
-// queryable and correct across repeated Trims, and a MaxWindows cap evicts
-// oldest-first as new windows open.
+// TestWindowedTrimRing: the head-indexed ring keeps samples queryable and
+// correct across repeated Trims.
 func TestWindowedTrimRing(t *testing.T) {
 	w := NewWindowed(sim.Minute)
 	for i := 0; i < 100; i++ {
@@ -241,23 +240,10 @@ func TestWindowedTrimRing(t *testing.T) {
 	if got := w.PercentileBetween(89*sim.Minute, 100*sim.Minute, 100); got != 99 {
 		t.Fatalf("max over retained = %v", got)
 	}
-
-	capped := NewWindowedSketch(sim.Minute, 0.02)
-	capped.SetMaxWindows(5)
-	for i := 0; i < 30; i++ {
-		capped.Add(sim.Time(i)*sim.Minute, float64(i))
-	}
-	if got := capped.NumWindows(); got != 5 {
-		t.Fatalf("capped windows = %d, want 5", got)
-	}
-	if got := capped.WindowStartAt(0); got != 25*sim.Minute {
-		t.Fatalf("capped oldest start = %v, want 25m", got)
-	}
 }
 
 // TestCounterSeriesTrimAndCap mirrors the ring behavior for counters: Trim
-// drops old windows without disturbing retained totals, and a cap evicts
-// oldest-first.
+// drops old windows without disturbing retained totals.
 func TestCounterSeriesTrimAndCap(t *testing.T) {
 	c := NewCounterSeries(sim.Minute)
 	for i := 0; i < 100; i++ {
@@ -271,15 +257,6 @@ func TestCounterSeriesTrimAndCap(t *testing.T) {
 	}
 	if got := c.Total(95*sim.Minute, 97*sim.Minute); got != 2 {
 		t.Fatalf("sub-range total = %v, want 2", got)
-	}
-
-	capped := NewCounterSeries(sim.Minute)
-	capped.SetMaxWindows(4)
-	for i := 0; i < 20; i++ {
-		capped.Inc(sim.Time(i)*sim.Minute, 1)
-	}
-	if got := capped.Total(0, sim.Hour); got != 4 {
-		t.Fatalf("capped total = %v, want 4", got)
 	}
 }
 

@@ -54,10 +54,9 @@ type App struct {
 	completedJobs int
 	failedJobs    int
 
-	res     *ResiliencePolicy
-	resRNG  *rand.Rand
-	errRNG  *rand.Rand
-	sampler *sim.Ticker
+	res    *ResiliencePolicy
+	resRNG *rand.Rand
+	errRNG *rand.Rand
 
 	telemetry TelemetryConfig
 
@@ -138,7 +137,7 @@ func NewAppWith(eng *sim.Engine, spec AppSpec, o AppOptions) (*App, error) {
 		a.services[ss.Name] = s
 		a.ordered = append(a.ordered, s)
 	}
-	a.sampler = eng.Every(a.window, a.sampleMetrics)
+	eng.Every(a.window, a.sampleMetrics)
 	return a, nil
 }
 
@@ -293,9 +292,6 @@ func (a *App) sampleMetrics() {
 		a.TrimTelemetry(now - a.telemetry.Retention)
 	}
 }
-
-// StopSampling halts the periodic sampler (end of experiment).
-func (a *App) StopSampling() { a.sampler.Stop() }
 
 // TotalAllocatedCPUs sums currently allocated CPUs over all services.
 func (a *App) TotalAllocatedCPUs() float64 {

@@ -68,14 +68,13 @@ func newService(app *App, spec ServiceSpec) *Service {
 		RespTime:    app.newWindowed(),
 		RespByClass: app.newLatencyRecorder(),
 		Arrivals:    map[string]*metrics.CounterSeries{},
-		ArrivalsAll: app.newCounterSeries(),
+		ArrivalsAll: metrics.NewCounterSeries(app.window),
 		UtilSamples: metrics.NewWindowed(app.window),
 		AllocGauge:  metrics.NewGauge(app.Eng.Now(), 0),
-		RPCAttempts: app.newCounterSeries(),
-		RPCErrors:   app.newCounterSeries(),
-		RPCRetries:  app.newCounterSeries(),
+		RPCAttempts: metrics.NewCounterSeries(app.window),
+		RPCErrors:   metrics.NewCounterSeries(app.window),
+		RPCRetries:  metrics.NewCounterSeries(app.window),
 	}
-	s.UtilSamples.SetMaxWindows(app.telemetry.MaxWindows)
 	for i := 0; i < spec.InitialReplicas; i++ {
 		s.addReplica()
 	}
@@ -438,7 +437,7 @@ func (s *Service) Enqueue(r *Request) {
 	r.svc = s
 	cs, ok := s.Arrivals[r.Class]
 	if !ok {
-		cs = s.app.newCounterSeries()
+		cs = metrics.NewCounterSeries(s.app.window)
 		s.Arrivals[r.Class] = cs
 	}
 	cs.Inc(now, 1)

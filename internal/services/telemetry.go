@@ -18,10 +18,6 @@ type TelemetryConfig struct {
 	// Retention, when > 0, rolls a retention horizon: every sampling tick
 	// trims windows older than now−Retention from every collector.
 	Retention sim.Time
-	// MaxWindows, when > 0, additionally caps retained windows per collector
-	// ring-buffer style — the hard bound when Retention alone is not enough
-	// (e.g. a collector fed from a paused sampler).
-	MaxWindows int
 }
 
 // Telemetry reports the app's telemetry configuration.
@@ -29,33 +25,18 @@ func (a *App) Telemetry() TelemetryConfig { return a.telemetry }
 
 // newWindowed builds a latency-sample collector per the telemetry config.
 func (a *App) newWindowed() *metrics.Windowed {
-	var w *metrics.Windowed
 	if a.telemetry.SketchAlpha > 0 {
-		w = metrics.NewWindowedSketch(a.window, a.telemetry.SketchAlpha)
-	} else {
-		w = metrics.NewWindowed(a.window)
+		return metrics.NewWindowedSketch(a.window, a.telemetry.SketchAlpha)
 	}
-	w.SetMaxWindows(a.telemetry.MaxWindows)
-	return w
+	return metrics.NewWindowed(a.window)
 }
 
 // newLatencyRecorder builds a per-class recorder per the telemetry config.
 func (a *App) newLatencyRecorder() *metrics.LatencyRecorder {
-	var r *metrics.LatencyRecorder
 	if a.telemetry.SketchAlpha > 0 {
-		r = metrics.NewLatencyRecorderSketch(a.window, a.telemetry.SketchAlpha)
-	} else {
-		r = metrics.NewLatencyRecorder(a.window)
+		return metrics.NewLatencyRecorderSketch(a.window, a.telemetry.SketchAlpha)
 	}
-	r.SetMaxWindows(a.telemetry.MaxWindows)
-	return r
-}
-
-// newCounterSeries builds a counter per the telemetry config.
-func (a *App) newCounterSeries() *metrics.CounterSeries {
-	c := metrics.NewCounterSeries(a.window)
-	c.SetMaxWindows(a.telemetry.MaxWindows)
-	return c
+	return metrics.NewLatencyRecorder(a.window)
 }
 
 // TrimTelemetry drops telemetry windows older than cutoff across the app:

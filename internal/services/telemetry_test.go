@@ -78,15 +78,3 @@ func TestTelemetryRetentionBoundsMemory(t *testing.T) {
 		t.Fatal("recent windows were trimmed too")
 	}
 }
-
-// TestTelemetryMaxWindowsCap: the hard per-collector cap holds even without
-// a retention horizon.
-func TestTelemetryMaxWindowsCap(t *testing.T) {
-	app := runTelemetryApp(TelemetryConfig{SketchAlpha: 0.02, MaxWindows: 3}, 10)
-	if got := app.E2E.Class("get").NumWindows(); got > 3 {
-		t.Fatalf("E2E windows = %d, cap 3", got)
-	}
-	if got := app.Service("api").ArrivalsAll.Total(0, sim.Hour); got > 3*100*60*2 {
-		t.Fatalf("counter retained too much: %v", got)
-	}
-}
