@@ -78,8 +78,10 @@ bench-telemetry:
 # bench-throughput runs the single-run throughput headline: a 10×-scale
 # social-network app at 1000 RPS, reporting wall-clock events/sec and heap
 # allocations per injected request for the execution path ("fused":
-# batched arrivals + pooled step frames). Diff BENCH_throughput.json to
-# track the events/sec trajectory PR over PR.
+# batched arrivals + pooled step frames) and for the same app under a
+# retry policy and a fixed network delay ("resilient": pooled resilient
+# calls). Diff BENCH_throughput.json to track the events/sec trajectory PR
+# over PR.
 bench-throughput:
 	$(GO) test -run '^$$' -bench 'BenchmarkThroughput' -benchtime=3x \
 		-benchmem ./internal/experiments \

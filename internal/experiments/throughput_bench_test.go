@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ursa/internal/faults"
 	"ursa/internal/services"
 	"ursa/internal/sim"
 	"ursa/internal/topology"
@@ -31,41 +32,59 @@ func scaledSocialNetwork(k int) services.AppSpec {
 // BenchmarkThroughput is the tracked single-run throughput headline: a
 // 10×-scale social network at 1000 RPS, simulated for 2 minutes per
 // iteration, reporting wall-clock events/sec and heap allocs per injected
-// request — the row BENCH_throughput.json records, so every future PR moves
-// a visible number against a pinned baseline. The sub-benchmark keeps the
-// name "fused" (batched arrivals + pooled step frames) so the row stays
-// comparable with earlier reports.
+// request — the rows BENCH_throughput.json records, so every future PR moves
+// a visible number against a pinned baseline. "fused" (batched arrivals +
+// pooled step frames) keeps its name so the row stays comparable with
+// earlier reports. "resilient" runs the same app under Fig. F1's client
+// policy (500 ms timeout, 3 retries) with every RPC delayed by a fixed 1 ms,
+// so each call takes the pooled resilient path with a delayed delivery and
+// an armed timeout.
 func BenchmarkThroughput(b *testing.B) {
+	b.Run("fused", func(b *testing.B) { benchThroughput(b, nil) })
+	b.Run("resilient", func(b *testing.B) {
+		benchThroughput(b, func(eng *sim.Engine, app *services.App) {
+			app.SetResilience(*resiliencePolicy())
+			faults.New(eng, app, nil, faults.Schedule{
+				NetFaults: []faults.NetFault{{DelayMs: 1}},
+			}).Start()
+		})
+	})
+}
+
+// benchThroughput runs BenchmarkThroughput's scenario, with setup (if any)
+// applied to each fresh app before load starts.
+func benchThroughput(b *testing.B, setup func(*sim.Engine, *services.App)) {
 	const (
 		scale   = 10
 		rps     = 1000
 		simTime = 2 * sim.Minute
 	)
-	b.Run("fused", func(b *testing.B) {
-		var events uint64
-		var jobs, allocs uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng := sim.NewEngine(int64(i) + 1)
-			app := services.MustNewApp(eng, scaledSocialNetwork(scale))
-			gen := workload.New(eng, app, workload.Constant{Value: rps}, topology.SocialNetworkMix())
-			gen.Start()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			eng.RunUntil(simTime)
-			runtime.ReadMemStats(&m1)
-			events += eng.Fired()
-			jobs += uint64(app.InjectedJobs)
-			allocs += m1.Mallocs - m0.Mallocs
+	var events uint64
+	var jobs, allocs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := sim.NewEngine(int64(i) + 1)
+		app := services.MustNewApp(eng, scaledSocialNetwork(scale))
+		if setup != nil {
+			setup(eng, app)
 		}
-		b.StopTimer()
-		if jobs == 0 {
-			b.Fatal("no jobs injected")
-		}
-		b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		b.ReportMetric(float64(allocs)/float64(jobs), "allocs/req")
-	})
+		gen := workload.New(eng, app, workload.Constant{Value: rps}, topology.SocialNetworkMix())
+		gen.Start()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		eng.RunUntil(simTime)
+		runtime.ReadMemStats(&m1)
+		events += eng.Fired()
+		jobs += uint64(app.InjectedJobs)
+		allocs += m1.Mallocs - m0.Mallocs
+	}
+	b.StopTimer()
+	if jobs == 0 {
+		b.Fatal("no jobs injected")
+	}
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+	b.ReportMetric(float64(allocs)/float64(jobs), "allocs/req")
 }
 
 // TestThroughputPathsPreserveFig2 is the experiment-level byte-identity pin

@@ -60,11 +60,12 @@ type App struct {
 
 	telemetry TelemetryConfig
 
-	// framePool / reqPool recycle step frames and requests on the fused
-	// execution path (frame.go). Per-app (= per-engine), so parallel
-	// experiment runs never share them.
+	// framePool / reqPool / callPool recycle step frames, requests and
+	// resilient calls (frame.go, resilience.go). Per-app (= per-engine), so
+	// parallel experiment runs never share them.
 	framePool []*frame
 	reqPool   []*Request
+	callPool  []*rpcCall
 }
 
 // Placer chooses a node for a new replica of the named service. Implementors

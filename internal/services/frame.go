@@ -16,7 +16,8 @@ import (
 // Lifetime: frames are recycled through App.framePool. A frame is released
 // only when it has completed AND refs — the number of outstanding callbacks
 // that can still reach it (a CPU burst completion, a nested-RPC response, an
-// ingress admission) — has dropped to zero. A frame whose callback died with
+// ingress admission, a daemon grant, a resilient call's outcome) — has
+// dropped to zero. A frame whose callback died with
 // a crashed replica (cpuSched drops bursts on kill) keeps a positive refs
 // count forever and is simply garbage-collected; it never re-enters the pool,
 // so a recycled frame can never be reached by a stale continuation.
@@ -43,11 +44,15 @@ type frame struct {
 	parRemaining int
 	parMax       sim.Time
 
-	// In-flight fast-path nested RPC: the outstanding request and the
-	// response-wait clock start (stamped by accepted, read by rpcDone; see
-	// DESIGN.md §4f for the t0 reset/overwrite ordering).
-	rpcReq *Request
-	t0     sim.Time
+	// In-flight fast-path nested RPC: the response-wait clock start
+	// (stamped by accepted, read by rpcDone; see DESIGN.md §4f for the t0
+	// reset/overwrite ordering).
+	t0 sim.Time
+
+	// The event RPC waiting for a daemon slot (daemonGranted sends it).
+	evTarget *Service
+	evClass  string
+	evFail   bool
 
 	refs     int
 	finished bool
@@ -55,7 +60,6 @@ type frame struct {
 	// Bound once when the frame is first allocated; reused across pool
 	// cycles. Taking a method value inline would allocate per use.
 	advanceFn  func()
-	rpcDoneFn  func()
 	acceptedFn func()
 	finishFn   func()
 }
@@ -66,7 +70,6 @@ func (a *App) getFrame() *frame {
 	if n == 0 {
 		f := &frame{app: a}
 		f.advanceFn = f.advance
-		f.rpcDoneFn = f.rpcDone
 		f.acceptedFn = f.accepted
 		f.finishFn = f.finish
 		return f
@@ -91,7 +94,6 @@ func (a *App) putFrame(f *frame) {
 	f.parent = nil
 	f.parRemaining = 0
 	f.parMax = 0
-	f.rpcReq = nil
 	f.t0 = 0
 	f.finished = false
 	a.framePool = append(a.framePool, f)
@@ -101,7 +103,7 @@ func (a *App) putFrame(f *frame) {
 func (a *App) getRequest() *Request {
 	n := len(a.reqPool)
 	if n == 0 {
-		return &Request{}
+		return newRequest()
 	}
 	r := a.reqPool[n-1]
 	a.reqPool[n-1] = nil
@@ -109,13 +111,14 @@ func (a *App) getRequest() *Request {
 	return r
 }
 
-// putRequest recycles a request. Only requests that settled cleanly are ever
-// recycled (see frame.finish): a failed or abandoned request may still be
-// referenced by a crashed replica's bookkeeping, a late resilience timeout,
-// or a caller that gave up on it — so those are left to the garbage
-// collector.
+// putRequest zeroes a request (keeping its bound continuations) and
+// recycles it. Only requests that settled cleanly are ever recycled (see
+// frame.finish and rpcCall.release): a failed or abandoned request may still
+// be referenced by a crashed replica's bookkeeping, a late resilience
+// timeout, or a caller that gave up on it — so those are left to the
+// garbage collector.
 func (a *App) putRequest(r *Request) {
-	*r = Request{}
+	*r = Request{requestFns: r.requestFns}
 	a.reqPool = append(a.reqPool, r)
 }
 
@@ -133,7 +136,7 @@ func (f *frame) exec() {
 		}
 		switch st := f.steps[f.i].(type) {
 		case Compute:
-			ms := st.Dist().Sample(req.svc.rng)
+			ms := st.sample(req.svc.rng)
 			f.i++
 			f.refs++
 			req.replica.cpu.Run(ms/1e3, f.advanceFn)
@@ -159,14 +162,13 @@ func (f *frame) exec() {
 					rpc.Class = class
 					rpc.Priority = req.Priority
 					rpc.Failed = fail
-					rpc.onDone = f.rpcDoneFn
-					f.rpcReq = rpc
+					rpc.caller = f
 					f.t0 = 0
 					f.refs += 2 // rpcDone and accepted each hold the frame
 					target.Send(rpc, f.acceptedFn)
 				} else {
 					f.refs++
-					a.callNested(req, target, class, fail, f.waitAcc, f.advanceFn)
+					a.startCall(req, target, class, fail, f, nil)
 				}
 				return
 			case EventRPC:
@@ -176,25 +178,8 @@ func (f *frame) exec() {
 				// the response.
 				f.i++
 				f.refs++
-				req.replica.acquireDaemon(func(release func()) {
-					req.Job.add()
-					if a.res == nil && a.Net == nil {
-						rpc := a.getRequest()
-						rpc.Job = req.Job
-						rpc.Class = class
-						rpc.Priority = req.Priority
-						rpc.Failed = fail
-						rpc.onDone = func() {
-							release()
-							rpc.jobBranchDone()
-						}
-						target.Send(rpc, nil)
-					} else {
-						a.sendEvent(req, target, class, fail, release)
-					}
-					f.refs--
-					f.exec()
-				})
+				f.evTarget, f.evClass, f.evFail = target, class, fail
+				req.replica.acquireDaemon(f)
 				return
 			case MQ:
 				req.Job.add()
@@ -238,17 +223,42 @@ func (f *frame) exec() {
 }
 
 // advance resumes the frame after an engine callback (CPU burst completion,
-// daemon grant, resilient-call outcome).
+// resilient-call outcome).
 func (f *frame) advance() {
+	f.refs--
+	f.exec()
+}
+
+// daemonGranted sends the pending event RPC once the handler's replica
+// grants it a daemon slot, then resumes the handler: the daemon, not the
+// worker, awaits the response and returns the slot when it lands.
+func (f *frame) daemonGranted() {
+	a := f.app
+	req := f.req
+	target, class, fail := f.evTarget, f.evClass, f.evFail
+	f.evTarget, f.evClass, f.evFail = nil, "", false
+	req.Job.add()
+	if a.res == nil && a.Net == nil {
+		rpc := a.getRequest()
+		rpc.Job = req.Job
+		rpc.Class = class
+		rpc.Priority = req.Priority
+		rpc.Failed = fail
+		rpc.daemon = req.replica
+		rpc.doneBranch = true
+		target.Send(rpc, nil)
+	} else {
+		a.startCall(req, target, class, fail, nil, req.replica)
+	}
 	f.refs--
 	f.exec()
 }
 
 // rpcDone resumes the frame after a fast-path nested-RPC response: propagate
 // a terminal failure, charge the response wait, continue.
-func (f *frame) rpcDone() {
+func (f *frame) rpcDone(rpc *Request) {
 	f.refs--
-	if f.rpcReq.Failed {
+	if rpc.Failed {
 		f.req.Failed = true
 	}
 	*f.waitAcc += f.app.Eng.Now() - f.t0
@@ -336,8 +346,11 @@ func (f *frame) finish() {
 	rep.busyWorkers--
 	rep.maybeRetire()
 	s.pump()
+	// A resilient attempt belongs to its call, which recycles it (read the
+	// owner first: runOnDone may settle the call and recycle req).
+	owned := req.call != nil
 	req.runOnDone()
-	if !req.Failed && !req.abandoned {
+	if !owned && !req.Failed && !req.abandoned {
 		f.app.putRequest(req)
 	}
 }

@@ -89,17 +89,17 @@ func (q *reqQueue) lenPriority(p int) int {
 // O(n²); the slice is compacted once the dead prefix crosses half the
 // backing array, keeping per-operation cost amortised O(1).
 type sendQueue struct {
-	items []pendingSend
+	items []*Request
 	head  int
 }
 
-func (q *sendQueue) push(p pendingSend) {
-	q.items = append(q.items, p)
+func (q *sendQueue) push(r *Request) {
+	q.items = append(q.items, r)
 }
 
-func (q *sendQueue) pop() pendingSend {
-	p := q.items[q.head]
-	q.items[q.head] = pendingSend{} // release the request and callback for GC
+func (q *sendQueue) pop() *Request {
+	r := q.items[q.head]
+	q.items[q.head] = nil // release the request for GC
 	q.head++
 	if q.head == len(q.items) {
 		q.items = q.items[:0]
@@ -109,7 +109,7 @@ func (q *sendQueue) pop() pendingSend {
 		q.items = q.items[:n]
 		q.head = 0
 	}
-	return p
+	return r
 }
 
 func (q *sendQueue) len() int { return len(q.items) - q.head }

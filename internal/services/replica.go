@@ -14,7 +14,7 @@ type Replica struct {
 
 	daemons     int
 	busyDaemons int
-	daemonWait  []func(release func())
+	daemonWait  []*frame // handlers blocked until a daemon slot frees
 
 	// inflight tracks requests whose handlers are running on this replica,
 	// so a crash can fail them; ingressInflight counts admission bursts on
@@ -79,30 +79,21 @@ func (r *Replica) untrack(req *Request) {
 	req.slot = -1
 }
 
-// acquireDaemon grants a daemon slot to fn (possibly later, when a slot
-// frees). fn receives a release function that must be called exactly once.
-// While a handler waits here its worker thread stays blocked — the source of
-// the milder event-driven backpressure.
-func (r *Replica) acquireDaemon(fn func(release func())) {
+// acquireDaemon grants f's pending event RPC a daemon slot, now or once a
+// slot frees (f.daemonGranted). The holder returns the slot through
+// releaseDaemon exactly once. While a handler waits here its worker thread
+// stays blocked — the source of the milder event-driven backpressure.
+func (r *Replica) acquireDaemon(f *frame) {
 	if r.busyDaemons < r.daemons {
 		r.busyDaemons++
-		fn(r.releaseDaemonFn())
+		f.daemonGranted()
 		return
 	}
-	r.daemonWait = append(r.daemonWait, fn)
+	r.daemonWait = append(r.daemonWait, f)
 }
 
-func (r *Replica) releaseDaemonFn() func() {
-	released := false
-	return func() {
-		if released {
-			panic("services: daemon slot released twice")
-		}
-		released = true
-		r.releaseDaemon()
-	}
-}
-
+// releaseDaemon returns a daemon slot, handing it straight to the first
+// waiting handler if there is one.
 func (r *Replica) releaseDaemon() {
 	if r.dead {
 		// A branch outlived its crashed replica; the slot and any waiting
@@ -112,8 +103,9 @@ func (r *Replica) releaseDaemon() {
 	if len(r.daemonWait) > 0 {
 		next := r.daemonWait[0]
 		copy(r.daemonWait, r.daemonWait[1:])
+		r.daemonWait[len(r.daemonWait)-1] = nil
 		r.daemonWait = r.daemonWait[:len(r.daemonWait)-1]
-		next(r.releaseDaemonFn())
+		next.daemonGranted()
 		return
 	}
 	r.busyDaemons--

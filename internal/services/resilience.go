@@ -81,123 +81,251 @@ func (a *App) backoffDelay(attempt int) sim.Time {
 	return sim.Millis2Time(ms)
 }
 
-// rpcAttempts drives the shared resilient-delivery loop: build a fresh
-// Request per attempt (newReq also returns the Send `accepted` callback),
-// inject network faults on the edge, arm the per-attempt timeout, and retry
-// with backoff until success or exhaustion. outcome(failed) fires exactly
-// once — unless a message is dropped (or a callee dies) with no timeout
-// configured, in which case the call hangs forever, exactly like an
-// unprotected client.
-func (a *App) rpcAttempts(src string, target *Service, newReq func() (*Request, func()), outcome func(failed bool)) {
-	attempt := 0
-	var try func()
-	retry := func() {
-		if a.res == nil || attempt > a.res.MaxRetries {
-			outcome(true)
-			return
-		}
-		target.RPCRetries.Inc(a.Eng.Now(), 1)
-		a.Eng.Schedule(a.backoffDelay(attempt), try)
-	}
-	try = func() {
-		attempt++
-		target.RPCAttempts.Inc(a.Eng.Now(), 1)
-		rpc, accepted := newReq()
-		settled := false
-		var timer sim.Event
-		rpc.onDone = func() {
-			if settled {
-				return // response landed after the caller gave up
-			}
-			settled = true
-			timer.Cancel()
-			if rpc.Failed {
-				// The callee's handler aborted (its own downstream failed,
-				// or its replica crashed mid-request): an error response.
-				target.RPCErrors.Inc(a.Eng.Now(), 1)
-				retry()
-				return
-			}
-			outcome(false)
-		}
-		dropped := false
-		var delay sim.Time
-		if a.Net != nil {
-			delay, dropped = a.Net.Intercept(src, target.Name())
-		}
-		deliver := func() { target.Send(rpc, accepted) }
-		switch {
-		case dropped:
-			// Lost in the network: only the timeout can recover the call.
-		case delay > 0:
-			a.Eng.Schedule(delay, deliver)
-		default:
-			deliver()
-		}
-		if a.res != nil && a.res.TimeoutMs > 0 {
-			timer = a.Eng.Schedule(sim.Millis2Time(a.res.TimeoutMs), func() {
-				if settled {
-					return
-				}
-				settled = true
-				// The attempt may still be queued or running at the callee;
-				// flag it so its late span stays out of the critical path.
-				rpc.abandoned = true
-				target.RPCErrors.Inc(a.Eng.Now(), 1)
-				retry()
-			})
-		} else if dropped {
-			target.RPCErrors.Inc(a.Eng.Now(), 1)
-		}
-	}
-	try()
+// rpcCall is one logical nested- or event-RPC under the app's resilience
+// policy and network injector: deliver an attempt (a pooled Request), arm
+// its timeout, and retry with backoff until a response succeeds or the
+// attempts run out. Its engine continuations are method values bound once
+// per pooled rpcCall (tryFn) or per pooled Request (the per-attempt ones),
+// so a call allocates nothing in steady state.
+//
+// Lifetime, the pooled-call rule of DESIGN.md §4f: refs counts the
+// continuations that can still reach the call — a pending backoff, a
+// WAN-delayed delivery, an armed timeout, and per sent attempt its
+// admission and its response — plus the hold of a try in progress. The
+// call is recycled once it has settled (done) and refs is zero. A
+// continuation that died with a crashed replica keeps refs positive, so
+// that call is left to the garbage collector. A continuation of an attempt
+// that is no longer live (a late response, a ghost admission, the delayed
+// delivery or timeout of a settled attempt) is recognised by its Request
+// differing from live; stale attempts' Requests are never recycled, so the
+// comparison can never match a reused object.
+type rpcCall struct {
+	app    *App
+	src    *Service // caller, for the injector's edge
+	target *Service
+
+	// Every attempt's request is stamped from these.
+	job      *Job
+	class    string
+	priority int
+	fail     bool
+
+	// The caller: a nested call resumes frame; an event call holds a daemon
+	// slot on daemon and retires one job branch.
+	frame  *frame
+	daemon *Replica
+
+	attempt int       // attempts launched so far
+	live    *Request  // the in-flight attempt; nil while none is
+	timer   sim.Event // the live attempt's armed timeout, if any
+	// The live attempt's admission by the callee starts the response-wait
+	// clock charged to a nested caller.
+	admitted bool
+	t0       sim.Time
+
+	ok   *Request // the successful attempt, recycled with the call
+	refs int
+	done bool
+
+	tryFn func()
 }
 
-// callNested delivers one logical nested-RPC call under the app's resilience
-// policy and network injector. cont runs exactly once: after a successful
-// response (downstream wait accounted), or with req.Failed set once attempts
-// are exhausted — the calling handler then aborts. fail pre-marks every
-// delivery attempt as an application error (Call.ErrorProb): the callee
-// rejects each resend too, so the call exhausts its retries and fails.
-func (a *App) callNested(req *Request, target *Service, class string, fail bool, waitAcc *sim.Time, cont func()) {
-	var t0 sim.Time
-	admitted := false
-	cur := 0
-	a.rpcAttempts(req.svc.Name(), target, func() (*Request, func()) {
-		cur++
-		mine := cur
-		admitted = false
-		return &Request{Job: req.Job, Class: class, Priority: req.Priority, Failed: fail},
-			func() {
-				// Ghost admissions of abandoned attempts must not restart
-				// the live attempt's wait clock.
-				if mine == cur {
-					admitted = true
-					t0 = a.Eng.Now()
-				}
-			}
-	}, func(failed bool) {
-		if failed {
-			req.Failed = true
-		} else if admitted {
-			*waitAcc += a.Eng.Now() - t0
-		}
-		cont()
-	})
+// startCall launches a logical call from the handler running req. A nested
+// call (f != nil) resumes f once it settles, with f.req.Failed set if the
+// attempts ran out; an event call (daemon != nil) returns its daemon slot
+// and retires one branch of req's job, failing the job on exhaustion. fail
+// pre-marks every attempt as an application error (Call.ErrorProb): the
+// callee rejects each resend too, so the call exhausts its retries.
+func (a *App) startCall(req *Request, target *Service, class string, fail bool, f *frame, daemon *Replica) {
+	c := a.getCall()
+	c.src = req.svc
+	c.target = target
+	c.job = req.Job
+	c.class = class
+	c.priority = req.Priority
+	c.fail = fail
+	c.frame = f
+	c.daemon = daemon
+	c.refs = 1 // try's hold
+	c.try()
 }
 
-// sendEvent is callNested for event-RPC branches: the caller's handler has
-// already responded, so a terminal failure fails the job's branch rather
-// than aborting the caller.
-func (a *App) sendEvent(req *Request, target *Service, class string, fail bool, release func()) {
-	job := req.Job
-	a.rpcAttempts(req.svc.Name(), target, func() (*Request, func()) {
-		return &Request{Job: job, Class: class, Priority: req.Priority, Failed: fail}, nil
-	}, func(failed bool) {
-		release()
-		if failed {
-			job.fail()
+// getCall pops a recycled call or builds one with its method value bound.
+func (a *App) getCall() *rpcCall {
+	n := len(a.callPool)
+	if n == 0 {
+		c := &rpcCall{app: a}
+		c.tryFn = c.try
+		return c
+	}
+	c := a.callPool[n-1]
+	a.callPool[n-1] = nil
+	a.callPool = a.callPool[:n-1]
+	return c
+}
+
+// release recycles a settled call with no continuation left, and its
+// successful attempt's request with it.
+func (c *rpcCall) release() {
+	a := c.app
+	if c.ok != nil {
+		a.putRequest(c.ok)
+	}
+	*c = rpcCall{app: a, tryFn: c.tryFn}
+	a.callPool = append(a.callPool, c)
+}
+
+// unref drops one reference and recycles the call if it was the last one
+// of a settled call. Every continuation ends with it; nothing may touch the
+// call afterwards.
+func (c *rpcCall) unref() {
+	c.refs--
+	if c.done && c.refs == 0 {
+		c.release()
+	}
+}
+
+// try launches the next delivery attempt: fresh request, network faults on
+// the edge, delivery (now, later, or never), then the attempt's timeout.
+// The caller holds one reference for try (startCall's, or the backoff
+// event's), dropped at the end: a response can land synchronously inside
+// Send and settle the whole call before try returns.
+func (c *rpcCall) try() {
+	a := c.app
+	c.attempt++
+	c.target.RPCAttempts.Inc(a.Eng.Now(), 1)
+	rpc := a.getRequest()
+	rpc.Job = c.job
+	rpc.Class = c.class
+	rpc.Priority = c.priority
+	rpc.Failed = c.fail
+	rpc.call = c
+	c.live = rpc
+	c.admitted = false
+	dropped := false
+	var delay sim.Time
+	if a.Net != nil {
+		delay, dropped = a.Net.Intercept(c.src.Name(), c.target.Name())
+	}
+	switch {
+	case dropped:
+		// Lost in the network: only the timeout can recover the call.
+	case delay > 0:
+		c.refs++
+		a.Eng.Schedule(delay, rpc.deliverFn)
+	default:
+		c.send(rpc)
+	}
+	if a.res != nil && a.res.TimeoutMs > 0 {
+		// Armed even when the attempt already settled inside Send, so the
+		// event schedule does not depend on how fast the callee answered;
+		// that timer fires as a no-op.
+		c.refs++
+		ev := a.Eng.Schedule(sim.Millis2Time(a.res.TimeoutMs), rpc.timeoutFn)
+		if c.live == rpc {
+			c.timer = ev
 		}
-		job.branchDone()
-	})
+	} else if dropped {
+		c.target.RPCErrors.Inc(a.Eng.Now(), 1)
+	}
+	c.unref()
+}
+
+// send hands an attempt to the callee; its admission and its response each
+// hold the call until they fire.
+func (c *rpcCall) send(rpc *Request) {
+	c.refs += 2
+	c.target.Send(rpc, rpc.acceptFn)
+}
+
+// attemptDeliver is a WAN-delayed delivery. An attempt that timed out in
+// transit is still delivered: the callee executes it as a ghost.
+func (r *Request) attemptDeliver() {
+	c := r.call
+	c.send(r)
+	c.unref()
+}
+
+// attemptAccepted starts the response-wait clock if r is still the live
+// attempt; a ghost admission of an abandoned attempt changes nothing.
+func (r *Request) attemptAccepted() {
+	c := r.call
+	if r == c.live {
+		c.admitted = true
+		c.t0 = c.app.Eng.Now()
+	}
+	c.unref()
+}
+
+// respond handles attempt r's response. An error response (the callee's
+// handler aborted: its own downstream failed, or its replica crashed)
+// retries; a success settles the call.
+func (c *rpcCall) respond(r *Request) {
+	if r != c.live {
+		c.unref() // landed after the caller gave up on this attempt
+		return
+	}
+	c.live = nil
+	if c.timer != (sim.Event{}) {
+		c.timer.Cancel()
+		c.timer = sim.Event{}
+		c.refs--
+	}
+	if r.Failed {
+		c.target.RPCErrors.Inc(c.app.Eng.Now(), 1)
+		c.retry()
+	} else {
+		c.ok = r
+		c.settle(false)
+	}
+	c.unref()
+}
+
+// attemptTimeout gives up on attempt r if it is still live. The attempt may
+// still be queued or running at the callee; flagging it abandoned keeps its
+// late span out of the critical path.
+func (r *Request) attemptTimeout() {
+	c := r.call
+	if r == c.live {
+		c.live = nil
+		c.timer = sim.Event{}
+		r.abandoned = true
+		c.target.RPCErrors.Inc(c.app.Eng.Now(), 1)
+		c.retry()
+	}
+	c.unref()
+}
+
+// retry schedules the next attempt after backoff, or fails the call once
+// the retries are spent (immediately without a policy).
+func (c *rpcCall) retry() {
+	a := c.app
+	if a.res == nil || c.attempt > a.res.MaxRetries {
+		c.settle(true)
+		return
+	}
+	c.target.RPCRetries.Inc(a.Eng.Now(), 1)
+	c.refs++
+	a.Eng.Schedule(a.backoffDelay(c.attempt), c.tryFn)
+}
+
+// settle delivers the call's one outcome to its caller. A call whose
+// attempt was dropped (or whose callee died) with no timeout configured
+// never settles: it hangs, exactly like an unprotected client.
+func (c *rpcCall) settle(failed bool) {
+	c.done = true
+	if f := c.frame; f != nil {
+		if failed {
+			f.req.Failed = true
+		} else if c.admitted {
+			*f.waitAcc += c.app.Eng.Now() - c.t0
+		}
+		f.advance()
+		return
+	}
+	c.daemon.releaseDaemon()
+	if failed {
+		c.job.fail()
+	}
+	c.job.branchDone()
 }

@@ -49,9 +49,11 @@ func (f *dropNet) Intercept(src, dst string) (sim.Time, bool) {
 	return 0, f.calls <= f.dropFirst
 }
 
-// delayNet applies a fixed per-call delay sequence, then delivers cleanly.
+// delayNet applies a fixed per-call delay sequence, then delays every later
+// call by after (zero: delivers cleanly).
 type delayNet struct {
 	delays []sim.Time
+	after  sim.Time
 	calls  int
 }
 
@@ -60,7 +62,7 @@ func (f *delayNet) Intercept(src, dst string) (sim.Time, bool) {
 	if f.calls <= len(f.delays) {
 		return f.delays[f.calls-1], false
 	}
-	return 0, false
+	return f.after, false
 }
 
 func TestRetryRecoversDroppedRPC(t *testing.T) {

@@ -343,11 +343,6 @@ func (s *Service) Availability(from, to sim.Time) float64 {
 	return 1 - s.RPCErrors.Total(from, to)/att
 }
 
-type pendingSend struct {
-	req      *Request
-	accepted func()
-}
-
 // Send delivers an RPC request through the service's ingress stage. If the
 // flow-control window is full, the request (and the caller's worker or
 // daemon thread with it) waits until the receiver admits it; admission then
@@ -364,11 +359,12 @@ func (s *Service) Send(r *Request, accepted func()) {
 		}
 		return
 	}
+	r.accepted = accepted
 	if s.ingressBusy < s.ingressCapacity() && s.hasIngressReplica() {
-		s.admit(r, accepted)
+		s.admit(r)
 		return
 	}
-	s.ingressWait.push(pendingSend{req: r, accepted: accepted})
+	s.ingressWait.push(r)
 }
 
 // ingressCapacity is the total flow-control window across active replicas.
@@ -383,19 +379,35 @@ func (s *Service) ingressCapacity() int {
 // IngressQueueLen reports senders currently blocked on the window.
 func (s *Service) IngressQueueLen() int { return s.ingressWait.len() }
 
-func (s *Service) admit(r *Request, accepted func()) {
+// admit runs r's admission burst on the next ingress replica; r.admitted
+// continues once it completes.
+func (s *Service) admit(r *Request) {
 	s.ingressBusy++
 	rep := s.pickIngressReplica()
 	rep.ingressInflight++
-	rep.cpu.Run(s.spec.IngressCostMs/1e3, func() {
-		rep.ingressInflight--
-		s.ingressBusy--
-		s.Enqueue(r)
-		if accepted != nil {
-			accepted()
-		}
-		s.drainIngress()
-	})
+	r.ingress = rep
+	if r.admitFn == nil {
+		r.admitFn = r.admitted // a request built outside the pool
+	}
+	rep.cpu.Run(s.spec.IngressCostMs/1e3, r.admitFn)
+}
+
+// admitted finishes r's ingress admission: free the window slot, enqueue r,
+// notify the sender, and admit the next blocked sender. The accepted
+// callback is read before Enqueue: a handler that completes synchronously
+// recycles r inside it.
+func (r *Request) admitted() {
+	rep := r.ingress
+	s := rep.svc
+	accepted := r.accepted
+	r.ingress, r.accepted = nil, nil
+	rep.ingressInflight--
+	s.ingressBusy--
+	s.Enqueue(r)
+	if accepted != nil {
+		accepted()
+	}
+	s.drainIngress()
 }
 
 func (s *Service) pickIngressReplica() *Replica {
@@ -417,8 +429,7 @@ func (s *Service) pickIngressReplica() *Replica {
 
 func (s *Service) drainIngress() {
 	for s.ingressWait.len() > 0 && s.ingressBusy < s.ingressCapacity() && s.hasIngressReplica() {
-		next := s.ingressWait.pop()
-		s.admit(next.req, next.accepted)
+		s.admit(s.ingressWait.pop())
 	}
 }
 

@@ -9,6 +9,7 @@ package services
 
 import (
 	"fmt"
+	"math/rand"
 
 	"ursa/internal/stats"
 )
@@ -62,15 +63,17 @@ type Compute struct {
 
 func (Compute) isStep() {}
 
-// Dist returns the service-time distribution of the burst.
-func (c Compute) Dist() stats.Dist {
+// sample draws one burst duration in milliseconds. It works on the concrete
+// LogNormal value, never boxed into an interface, so a draw allocates
+// nothing.
+func (c Compute) sample(r *rand.Rand) float64 {
 	switch {
 	case c.CV < 0:
-		return stats.Deterministic{Value: c.MeanMs}
+		return c.MeanMs
 	case c.CV == 0:
-		return stats.LogNormalFromMeanCV(c.MeanMs, 0.3)
+		return stats.LogNormalFromMeanCV(c.MeanMs, 0.3).Sample(r)
 	default:
-		return stats.LogNormalFromMeanCV(c.MeanMs, c.CV)
+		return stats.LogNormalFromMeanCV(c.MeanMs, c.CV).Sample(r)
 	}
 }
 

@@ -74,7 +74,20 @@ type Request struct {
 	arrival sim.Time
 	svc     *Service
 	replica *Replica
-	onDone  func()
+
+	// Who hears of the completion, in runOnDone's order: the resilient call
+	// this request is one attempt of, the frame blocked on it as a fast-path
+	// nested RPC, or else the daemon slot it holds (fast-path event RPC)
+	// and, with doneBranch, its job branch.
+	call       *rpcCall
+	caller     *frame
+	daemon     *Replica
+	doneBranch bool
+
+	// Ingress admission state (Service.Send): the replica whose CPU runs
+	// the admission burst and the sender's accepted callback.
+	ingress  *Replica
+	accepted func()
 
 	// abandoned marks a request whose caller gave up waiting (timeout) or
 	// died; its span must not enter critical-path accounting.
@@ -84,21 +97,50 @@ type Request struct {
 	settled bool
 	// slot is this request's index in its replica's inflight list.
 	slot int
-	// finish completes the handler: metrics, span, worker release, onDone.
-	// Stored so a crash can force-complete in-flight requests.
+	// finish completes the handler: metrics, span, worker release,
+	// runOnDone. Stored so a crash can force-complete in-flight requests.
 	finish func()
-	// doneBranch, when set (and onDone is nil), retires one job branch at
-	// completion — the closure-free form of onDone = jobBranchDone that entry
-	// and MQ requests use.
-	doneBranch bool
+
+	requestFns
 }
 
-// runOnDone fires the request's completion notification, if any.
+// requestFns are a request's engine continuations, bound once when the
+// Request is first allocated and kept across pool cycles (see putRequest),
+// so scheduling one allocates nothing. Each carries the request's identity:
+// a resilient call tells a stale attempt's continuation from the live one
+// by comparing the request with its live attempt.
+type requestFns struct {
+	admitFn   func() // ingress admission burst done (Service.admit)
+	acceptFn  func() // resilient attempt admitted by the callee
+	deliverFn func() // resilient attempt's WAN-delayed delivery
+	timeoutFn func() // resilient attempt's timeout
+}
+
+// newRequest allocates a request with its continuations bound.
+func newRequest() *Request {
+	r := &Request{}
+	r.admitFn = r.admitted
+	r.acceptFn = r.attemptAccepted
+	r.deliverFn = r.attemptDeliver
+	r.timeoutFn = r.attemptTimeout
+	return r
+}
+
+// runOnDone fires the request's completion notification.
 func (r *Request) runOnDone() {
-	if r.onDone != nil {
-		r.onDone()
-	} else if r.doneBranch {
-		r.jobBranchDone()
+	switch {
+	case r.call != nil:
+		r.call.respond(r)
+	case r.caller != nil:
+		r.caller.rpcDone(r)
+	default:
+		if d := r.daemon; d != nil {
+			r.daemon = nil
+			d.releaseDaemon()
+		}
+		if r.doneBranch {
+			r.jobBranchDone()
+		}
 	}
 }
 

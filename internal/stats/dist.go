@@ -5,14 +5,6 @@ import (
 	"math/rand"
 )
 
-// Dist is a sampleable positive distribution, used for service times.
-type Dist interface {
-	// Sample draws one value using the supplied RNG.
-	Sample(r *rand.Rand) float64
-	// Mean reports the distribution mean.
-	Mean() float64
-}
-
 // LogNormal is a log-normal distribution with log-space parameters Mu and
 // Sigma. Microservice CPU service times are heavy-tailed; log-normal is the
 // standard model and is what gives the simulated tiers realistic p99/p50
