@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 
+	"ursa/internal/fanout"
 	"ursa/internal/services"
 	"ursa/internal/sim"
 	"ursa/internal/stats"
@@ -42,9 +44,7 @@ func (c *ExploreConfig) defaults() {
 	if c.Step <= 0 {
 		c.Step = 1
 	}
-	if c.WarmupWindows < 0 {
-		c.WarmupWindows = 1
-	} else if c.WarmupWindows == 0 {
+	if c.WarmupWindows <= 0 {
 		c.WarmupWindows = 1
 	}
 	if c.UtilTarget <= 0 {
@@ -370,18 +370,33 @@ type ExplorationSummary struct {
 }
 
 // ExploreAll explores every service and returns the per-service profiles
-// plus the Table V accounting.
+// plus the Table V accounting. Each service's exploration is an independent
+// deployment, so they run in parallel on GOMAXPROCS workers, as the paper
+// explores them; the results are merged in service order, so the output
+// does not depend on the worker count.
 func (e *Explorer) ExploreAll(cfg ExploreConfig) (map[string]*Profile, ExplorationSummary, error) {
+	return e.exploreAll(cfg, runtime.GOMAXPROCS(0))
+}
+
+func (e *Explorer) exploreAll(cfg ExploreConfig, workers int) (map[string]*Profile, ExplorationSummary, error) {
 	cfg.defaults()
-	profiles := map[string]*Profile{}
 	var sum ExplorationSummary
-	for i := range e.Spec.Services {
+	explored := make([]*Profile, len(e.Spec.Services))
+	err := fanout.ForEachErr(workers, len(explored), func(i int) error {
 		name := e.Spec.Services[i].Name
 		p, err := e.ExploreService(name, cfg)
 		if err != nil {
-			return nil, sum, fmt.Errorf("exploring %s: %w", name, err)
+			return fmt.Errorf("exploring %s: %w", name, err)
 		}
-		profiles[name] = p
+		explored[i] = p
+		return nil
+	})
+	if err != nil {
+		return nil, sum, err
+	}
+	profiles := make(map[string]*Profile, len(explored))
+	for _, p := range explored {
+		profiles[p.Service] = p
 		sum.Samples += p.Samples
 		sum.TotalTime += p.ExploreTime
 		if p.ExploreTime > sum.WallTime {

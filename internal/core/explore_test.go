@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"ursa/internal/services"
@@ -195,6 +197,64 @@ func TestExploreThenOptimizeEndToEnd(t *testing.T) {
 	for _, svc := range []string{"front", "back"} {
 		if sol.Choices[svc] == nil || sol.Choices[svc].LPR["req"] <= 0 {
 			t.Fatalf("missing choice for %s", svc)
+		}
+	}
+}
+
+// chainExplorer is a four-tier nested-RPC chain, so a four-worker fan-out
+// has one service per worker.
+func chainExplorer() *Explorer {
+	names := []string{"t0", "t1", "t2", "t3"}
+	spec := services.AppSpec{
+		Name:    "chain",
+		Classes: []services.ClassSpec{{Name: "req", Entry: "t0", SLAPercentile: 99, SLAMillis: 80}},
+	}
+	thresholds := map[string]float64{}
+	for i, name := range names {
+		steps := services.Seq(services.Compute{MeanMs: 1 + float64(i), CV: 0.4})
+		if i+1 < len(names) {
+			steps = append(steps, services.Call{Service: names[i+1], Mode: services.NestedRPC})
+		}
+		spec.Services = append(spec.Services, services.ServiceSpec{
+			Name: name, Threads: 4096, Daemons: 64, CPUs: 1,
+			IngressCostMs: 0.1, IngressWindow: 32, InitialReplicas: 2,
+			Handlers: map[string][]services.Step{"req": steps},
+		})
+		thresholds[name] = 0.7
+	}
+	return &Explorer{Spec: spec, Mix: workload.Mix{"req": 1}, TotalRPS: 150, Thresholds: thresholds}
+}
+
+// TestExploreAllWorkerCountInvariant checks that the parallel fan-out merges
+// in service order: one worker and four workers return deeply equal profiles
+// and the same Table V accounting, and when two services fail the
+// lower-indexed failure is the one reported.
+func TestExploreAllWorkerCountInvariant(t *testing.T) {
+	e := chainExplorer()
+	seqProfiles, seqSum, err := e.exploreAll(fastExploreConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parProfiles, parSum, err := e.exploreAll(fastExploreConfig(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parProfiles) != len(e.Spec.Services) {
+		t.Fatalf("profiles = %d, want %d", len(parProfiles), len(e.Spec.Services))
+	}
+	if !reflect.DeepEqual(seqProfiles, parProfiles) {
+		t.Fatal("profiles differ between 1 and 4 workers")
+	}
+	if seqSum != parSum {
+		t.Fatalf("summary differs: 1 worker %+v, 4 workers %+v", seqSum, parSum)
+	}
+
+	// A threshold no point can stay under makes exploration record nothing.
+	e.Thresholds["t1"], e.Thresholds["t3"] = 1e-6, 1e-6
+	for _, workers := range []int{1, 4} {
+		_, _, err := e.exploreAll(fastExploreConfig(), workers)
+		if err == nil || !strings.Contains(err.Error(), "exploring t1:") {
+			t.Fatalf("%d workers: err = %v, want t1's failure", workers, err)
 		}
 	}
 }

@@ -114,14 +114,22 @@ type BackpressureResult struct {
 	// Threshold is the backpressure-free CPU utilisation threshold: the
 	// utilisation observed just before the proxy latency converged.
 	Threshold float64
-	Steps     []ProfileStep
+	// Steps are sweep points, lowest CPU limit first: the evaluated suffix
+	// of the sweep for ProfileBackpressureThreshold, the whole sweep for
+	// ProfileBackpressureCurve.
+	Steps []ProfileStep
 }
 
 // ProfileBackpressureThreshold runs the 3-tier profiling engine of Fig. 3
 // against one service: a proxy forwards the service's class mix via nested
-// RPC while the engine sweeps the service's CPU limit upward and watches the
-// proxy's p99 latency with Welch's t-test. The CPU utilisation just before
+// RPC while the engine sweeps the service's CPU limit and watches the proxy's
+// p99 latency with Welch's t-test. The CPU utilisation just before
 // convergence is the service's backpressure-free threshold.
+//
+// The threshold depends only on the top of the sweep, so the sweep runs
+// top-down and stops at the first step that has not converged: Steps holds
+// only that evaluated suffix of cfg.Factors. ProfileBackpressureCurve runs
+// every step (Fig. 4) and reports the same threshold.
 //
 // classRPS is the per-class offered load (requests/second aggregated over
 // upstreams, per §III's fan-in synthesis). Services without an RPC ingress
@@ -132,39 +140,70 @@ func ProfileBackpressureThreshold(svc services.ServiceSpec, classRPS map[string]
 	if svc.IngressCostMs <= 0 {
 		return BackpressureResult{Service: svc.Name, Threshold: 1.0}
 	}
+	return judgeSweep(svc.Name, len(cfg.Factors), cfg.Alpha, func(k int) profilingStep {
+		return runProfilingStep(svc, classRPS, cfg.Factors[k], cfg)
+	})
+}
 
-	res := BackpressureResult{Service: svc.Name}
-	steps := make([]profilingStep, 0, len(cfg.Factors))
-	for _, f := range cfg.Factors {
-		steps = append(steps, runProfilingStep(svc, classRPS, f, cfg))
+// ProfileBackpressureCurve is ProfileBackpressureThreshold over the whole
+// sweep: Steps holds every CPU limit of cfg.Factors, lowest first, for the
+// Fig. 4 curves. Its Threshold and the Converged marks of the steps it
+// shares with the threshold call are identical by construction.
+func ProfileBackpressureCurve(svc services.ServiceSpec, classRPS map[string]float64, cfg ProfilerConfig) BackpressureResult {
+	cfg.defaults()
+	if svc.IngressCostMs <= 0 {
+		return BackpressureResult{Service: svc.Name, Threshold: 1.0}
 	}
-	// Convergence is judged against the final (highest-limit) step: a step
-	// is converged when Welch's t-test cannot distinguish its proxy latency
-	// from the final one *and* its mean is in the final step's range.
-	// (Comparing only adjacent steps false-positives between two saturated
-	// steps, whose enormous variances make any means look "equal".)
-	last := steps[len(steps)-1]
-	firstConverged := len(steps) - 1
-	for k := len(steps) - 2; k >= 0; k-- {
-		same := stats.MeansEqual(steps[k].proxyP99Windows, last.proxyP99Windows, cfg.Alpha)
-		closeMean := steps[k].ProxyP99Mean <= last.ProxyP99Mean*1.3+1e-9
+	steps := make([]profilingStep, len(cfg.Factors))
+	all := make([]ProfileStep, len(cfg.Factors))
+	for k, f := range cfg.Factors {
+		steps[k] = runProfilingStep(svc, classRPS, f, cfg)
+		all[k] = steps[k].ProfileStep
+	}
+	res := judgeSweep(svc.Name, len(steps), cfg.Alpha, func(k int) profilingStep { return steps[k] })
+	// Steps below the evaluated suffix lie under the first unconverged
+	// step, so none of them is converged.
+	res.Steps = append(all[:len(all)-len(res.Steps)], res.Steps...)
+	return res
+}
+
+// judgeSweep is the one convergence judge of both profiling calls. It reads
+// the n sweep steps top-down through step(k), calling it once for each k
+// from n-1 down to the first step that fails the test, and returns the
+// threshold with that evaluated suffix as Steps.
+//
+// Convergence is judged against the final (highest-limit) step: a step is
+// converged when Welch's t-test cannot distinguish its proxy latency from
+// the final one *and* its mean is in the final step's range. (Comparing only
+// adjacent steps false-positives between two saturated steps, whose enormous
+// variances make any means look "equal".) The threshold is the utilisation
+// of the lowest evaluated step: the one just below the converged run, or,
+// when even the tightest limit converged, the highest utilisation observed.
+func judgeSweep(name string, n int, alpha float64, step func(k int) profilingStep) BackpressureResult {
+	last := step(n - 1)
+	desc := []profilingStep{last} // steps n-1, n-2, … as evaluated
+	firstConverged := n - 1
+	for k := n - 2; k >= 0; k-- {
+		st := step(k)
+		desc = append(desc, st)
+		same := stats.MeansEqual(st.proxyP99Windows, last.proxyP99Windows, alpha)
+		closeMean := st.ProxyP99Mean <= last.ProxyP99Mean*1.3+1e-9
 		if same && closeMean {
 			firstConverged = k
 			continue
 		}
 		break
 	}
-	if firstConverged > 0 {
-		res.Threshold = steps[firstConverged-1].Util
-	} else {
-		// Converged across the whole sweep: even the tightest limit shows
-		// no backpressure; the highest observed utilisation is safe.
-		res.Threshold = steps[0].Util
+	lo := n - len(desc)
+	res := BackpressureResult{
+		Service:   name,
+		Threshold: desc[len(desc)-1].Util,
+		Steps:     make([]ProfileStep, len(desc)),
 	}
-	for k := range steps {
-		st := steps[k].ProfileStep
+	for i, st := range desc {
+		k := n - 1 - i
 		st.Converged = k >= firstConverged
-		res.Steps = append(res.Steps, st)
+		res.Steps[k-lo] = st.ProfileStep
 	}
 	return res
 }

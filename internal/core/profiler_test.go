@@ -19,11 +19,13 @@ func heavyService() services.ServiceSpec {
 	}
 }
 
+// TestProfileBackpressureThreshold checks the shape of the full sweep
+// (Steps[0] is the lowest CPU limit), so it reads the curve call.
 func TestProfileBackpressureThreshold(t *testing.T) {
 	svc := heavyService()
 	// Offered load ≈ 1.4 core-sec/s of handler work on 2 CPUs: saturated
 	// at low limits, comfortable at the nominal limit.
-	res := ProfileBackpressureThreshold(svc, map[string]float64{"read": 400, "write": 250}, ProfilerConfig{
+	res := ProfileBackpressureCurve(svc, map[string]float64{"read": 400, "write": 250}, ProfilerConfig{
 		Seed: 7,
 	})
 	if res.Threshold <= 0.2 || res.Threshold >= 0.98 {

@@ -47,6 +47,7 @@ func TestBackpressureShapes(t *testing.T) {
 
 func TestProfilingShapes(t *testing.T) {
 	r := RunProfiling(quick())
+	assertGolden(t, "testdata/fig4.golden", r.Render())
 	for _, name := range []string{"post-storage", "user-timeline"} {
 		pr, ok := r.Services[name]
 		if !ok {

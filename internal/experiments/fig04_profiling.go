@@ -33,7 +33,7 @@ func RunProfiling(opts Options) ProfilingResult {
 		// Aggregate (fan-in) load, rescaled so the sweep spans saturation
 		// at low limits through convergence at high ones.
 		perReplica := core.ScaleProfilingLoad(*ss, loads[name], 0.85)
-		sweeps[i] = core.ProfileBackpressureThreshold(*ss, perReplica, core.ProfilerConfig{
+		sweeps[i] = core.ProfileBackpressureCurve(*ss, perReplica, core.ProfilerConfig{
 			Seed:           opts.Seed,
 			WindowsPerStep: opts.scaleInt(8, 4),
 			Window:         15 * sim.Second,

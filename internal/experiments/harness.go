@@ -176,13 +176,15 @@ func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*c
 		TotalRPS:   c.TotalRPS,
 		Thresholds: map[string]float64{},
 	}
-	// Backpressure thresholds for RPC-connected services (§III).
+	// Backpressure thresholds for RPC-connected services (§III), one
+	// independent sweep per service on the worker pool.
 	loads := ex.ServiceClassLoads()
-	for i := range c.Spec.Services {
+	thresholds := make([]float64, len(c.Spec.Services))
+	o.forEach(len(thresholds), func(i int) {
 		ss := c.Spec.Services[i]
 		if ss.IngressCostMs <= 0 {
-			ex.Thresholds[ss.Name] = 1.0
-			continue
+			thresholds[i] = 1.0
+			return
 		}
 		perReplica := core.ScaleProfilingLoad(ss, loads[ss.Name], 0.85)
 		res := core.ProfileBackpressureThreshold(ss, perReplica, core.ProfilerConfig{
@@ -193,11 +195,11 @@ func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*c
 			// threshold, not the full curve.
 			Factors: []float64{0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0},
 		})
-		thr := res.Threshold
-		if thr < 0.3 {
-			thr = 0.3 // degenerate sweeps floor at a conservative value
-		}
-		ex.Thresholds[ss.Name] = thr
+		// Degenerate sweeps floor at a conservative value.
+		thresholds[i] = max(res.Threshold, 0.3)
+	})
+	for i, ss := range c.Spec.Services {
+		ex.Thresholds[ss.Name] = thresholds[i]
 	}
 	profiles, sum, err := ex.ExploreAll(o.exploreConfig())
 	if err != nil {

@@ -1,8 +1,9 @@
 // Parallel experiment harness. Every simulation cell of the evaluation grid
 // — one (app, scenario, system, seed) deployment — builds its own sim.Engine
 // and manager, so cells are embarrassingly parallel. forEach fans them over
-// a bounded worker pool and writes each result into its index slot, so the
-// merged output is byte-identical to a sequential run (Parallelism: 1).
+// a bounded worker pool (package fanout) and writes each result into its
+// index slot, so the merged output is byte-identical to a sequential run
+// (Parallelism: 1).
 //
 // Shared state is confined to two caches, both singleflight-deduplicated:
 // profileCache (exploration output, returned as deep copies) and protoCache
@@ -13,6 +14,8 @@ package experiments
 import (
 	"runtime"
 	"sync"
+
+	"ursa/internal/fanout"
 )
 
 // workers resolves the effective worker count: Options.Parallelism when
@@ -24,66 +27,13 @@ func (o *Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs fn(0) … fn(n-1) on a pool of at most workers() goroutines.
-// Callers pre-size their result slice and have fn(i) write slot i only, which
-// makes the merge order canonical regardless of scheduling. A panic in any
-// task is re-raised in the caller once all workers have drained, matching the
-// sequential failure mode.
-func (o *Options) forEach(n int, fn func(i int)) {
-	w := o.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
-	)
-	jobs := make(chan int)
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicked = r })
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
+// forEach runs fn(0) … fn(n-1) on a pool of at most workers() goroutines;
+// see fanout.ForEach for the merge-order and panic contract.
+func (o *Options) forEach(n int, fn func(i int)) { fanout.ForEach(o.workers(), n, fn) }
 
-// forEachErr is forEach for fallible tasks: every task runs, and the error
-// of the lowest-indexed failing task is returned, so the reported failure
-// does not depend on scheduling.
+// forEachErr is forEach for fallible tasks; the lowest-indexed error wins.
 func (o *Options) forEachErr(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	o.forEach(n, func(i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return fanout.ForEachErr(o.workers(), n, fn)
 }
 
 // ForEach exposes the bounded worker pool to callers that orchestrate

@@ -159,9 +159,18 @@ func NewManager(spec AppSpec, profiles map[string]*Profile) *Manager {
 }
 
 // ProfileBackpressureThreshold runs the Fig. 3 profiling engine against one
-// service and returns its backpressure-free CPU utilisation threshold.
+// service and returns its backpressure-free CPU utilisation threshold. The
+// sweep runs top-down and stops once the threshold is known, so Steps is
+// only the evaluated suffix of cfg.Factors; ProfileBackpressureCurve returns
+// the whole sweep with the same threshold.
 func ProfileBackpressureThreshold(svc ServiceSpec, classRPS map[string]float64, cfg ProfilerConfig) BackpressureProfile {
 	return core.ProfileBackpressureThreshold(svc, classRPS, cfg)
+}
+
+// ProfileBackpressureCurve runs every step of the profiling sweep (the
+// Fig. 4 curves) and returns them with the backpressure-free threshold.
+func ProfileBackpressureCurve(svc ServiceSpec, classRPS map[string]float64, cfg ProfilerConfig) BackpressureProfile {
+	return core.ProfileBackpressureCurve(svc, classRPS, cfg)
 }
 
 // TargetsFor derives SLA targets for every class of a spec.
