@@ -381,7 +381,7 @@ func writeMetrics(path string, app *services.App) error {
 	for _, name := range app.ServiceNames() {
 		svc := app.Service(name)
 		attrs := []metrics.KV{{Key: "service", Value: name}}
-		pts = append(pts, metrics.WindowPoints("ursa.service.resptime", attrs, svc.RespTime, qs)...)
+		pts = append(pts, metrics.WindowPoints("ursa.service.resptime", attrs, svc.RespTime.Merged(), qs)...)
 		pts = append(pts, metrics.CounterPoints("ursa.service.arrivals", attrs, svc.ArrivalsAll)...)
 	}
 	if err := metrics.WritePoints(f, pts); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -94,6 +95,50 @@ func TestReportGoldens(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Fatalf("report diverged from %s\n--- got ---\n%s\n--- want ---\n%s", tc.golden, got, want)
+			}
+		})
+	}
+}
+
+// TestMetricsOutGoldens pins -metrics-out byte-for-byte on the multi-class
+// social network, whose services each serve several request classes: one
+// exact run, and one sketch run whose retention has trimmed the oldest
+// windows. The per-service ursa.service.resptime points are the all-class
+// merge of the per-class collectors, so these goldens hold it to the
+// single all-class collector the goldens were captured from.
+func TestMetricsOutGoldens(t *testing.T) {
+	social := func(extra ...string) []string {
+		return append([]string{"-app", "social-network", "-system", "auto-a", "-scale", "0.25", "-q"}, extra...)
+	}
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"testdata/metrics_exact.golden", social("-minutes", "4")},
+		{"testdata/metrics_sketch.golden", social("-minutes", "6", "-telemetry", "sketch", "-retention", "4")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.golden, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "metrics.jsonl")
+			if err := run(parseFlags(append(tc.args, "-metrics-out", out)), io.Discard, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(tc.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+				for i := 0; i < min(len(gl), len(wl)); i++ {
+					if gl[i] != wl[i] {
+						t.Fatalf("metrics diverged from %s at line %d\n got: %s\nwant: %s", tc.golden, i+1, gl[i], wl[i])
+					}
+				}
+				t.Fatalf("metrics diverged from %s: %d lines, want %d", tc.golden, len(gl), len(wl))
 			}
 		})
 	}

@@ -265,7 +265,7 @@ func (e *Explorer) ExploreService(name string, cfg ExploreConfig) (*Profile, err
 			}
 			point.LPR[class] = mean
 			point.RateSamples[class] = rateSamples
-			if rec := svc.RespByClass.Class(class); rec != nil {
+			if rec := svc.RespTime.Class(class); rec != nil {
 				point.Latency[class] = append([]float64(nil), rec.Between(start, end)...)
 			}
 		}

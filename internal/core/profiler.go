@@ -300,7 +300,7 @@ func runProfilingStep(svc services.ServiceSpec, classRPS map[string]float64, fac
 			CPULimit:     svc.CPUs * factor,
 			ProxyP99Mean: stats.Mean(p99s),
 			ProxyP99Std:  stats.StdDev(p99s),
-			ServiceP99:   tested.RespTime.PercentileBetween(warm, horizon, 99),
+			ServiceP99:   tested.RespTime.Merged().PercentileBetween(warm, horizon, 99),
 			Util:         util,
 		},
 		proxyP99Windows: p99s,

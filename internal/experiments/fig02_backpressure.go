@@ -50,7 +50,7 @@ func RunBackpressure(opts Options) BackpressureResult {
 		grid := make([][]float64, 5)
 		for tier := 1; tier <= 5; tier++ {
 			svc := app.Service(topology.ChainTier(tier))
-			grid[tier-1] = svc.RespTime.PerWindowPercentile(minutes*sim.Minute, 99)
+			grid[tier-1] = svc.RespTime.Merged().PerWindowPercentile(minutes*sim.Minute, 99)
 			// The rendered heat-map and Inflation averages treat a minute with
 			// no completions as 0 ms (a starved tier reads as cold, exactly as
 			// before); the NaN marker matters to live monitoring, not here.

@@ -78,8 +78,8 @@ func RunAccuracy(opts Options, c AppCase, classes []string) (AccuracyResult, err
 		dists := map[string][]float64{}
 		for _, name := range names {
 			svc := app.Service(name)
-			for _, class := range svc.RespByClass.Classes() {
-				rec := svc.RespByClass.Class(class)
+			for _, class := range svc.RespTime.Classes() {
+				rec := svc.RespTime.Class(class)
 				dists[name+"/"+class] = rec.Between(start, end)
 			}
 		}

@@ -9,7 +9,10 @@
 // DDSketch-style) — percentiles within a documented relative-error bound α,
 // memory O(windows), which is what million-user runs need. Both modes share
 // one query API; window storage is a head-indexed ring with amortized O(1)
-// trimming, so periodic retention trims never reallocate per call.
+// trimming, so periodic retention trims never reallocate per call. Raw-sample
+// reads (Between, WindowAt) are exact-only and panic on a sketch collector.
+// A closed exact window is sealed to its exact size, so retained samples
+// cost 8 bytes each with no append growth slack.
 package metrics
 
 import (
@@ -53,8 +56,8 @@ func NewWindowed(window sim.Time) *Windowed {
 
 // NewWindowedSketch returns a sketch-mode collector: each window stores a
 // mergeable quantile sketch with relative-error bound alpha instead of raw
-// samples, so memory is O(windows) regardless of sample count. Raw-sample
-// queries (Between, All, WindowAt values) return nil in this mode.
+// samples, so memory is O(windows) regardless of sample count. The raw-sample
+// reads Between and WindowAt panic in this mode.
 func NewWindowedSketch(window sim.Time, alpha float64) *Windowed {
 	w := NewWindowed(window)
 	if alpha <= 0 || alpha >= 1 {
@@ -92,14 +95,22 @@ func (w *Windowed) addAt(i int, v float64) {
 	w.samples[i] = append(w.samples[i], v)
 }
 
-// appendWindow opens a new newest window.
+// appendWindow opens a new newest window. In exact mode it first seals the
+// previous newest window: its samples move to an exact-capacity slice, so a
+// closed window keeps none of append's growth slack. A late out-of-order
+// sample routed to a sealed window simply reallocates it.
 func (w *Windowed) appendWindow(ws sim.Time) {
 	w.start = append(w.start, ws)
 	if w.Sketched() {
 		w.sketches = append(w.sketches, w.newSketch())
-	} else {
-		w.samples = append(w.samples, nil)
+		return
 	}
+	if n := len(w.samples); n > w.head {
+		if prev := w.samples[n-1]; cap(prev) > len(prev) {
+			w.samples[n-1] = append(make([]float64, 0, len(prev)), prev...)
+		}
+	}
+	w.samples = append(w.samples, nil)
 }
 
 // insertWindow inserts an empty window at physical index i (out-of-order
@@ -171,34 +182,46 @@ func clearSampleTail(tail [][]float64) {
 // folded into the newest window.
 func (w *Windowed) Add(t sim.Time, v float64) {
 	ws := t / w.window * w.window
+	if n := len(w.start); n > w.head && w.start[n-1] == ws {
+		w.addAt(n-1, v) // the common case: the newest window
+		return
+	}
+	w.addAt(w.windowIndex(ws), v)
+}
+
+// windowIndex returns the physical index of the live window starting at ws,
+// opening it if it does not exist: as the newest window, or inserted at its
+// sorted position for an out-of-order arrival.
+func (w *Windowed) windowIndex(ws sim.Time) int {
 	n := len(w.start)
 	if n == w.head || w.start[n-1] < ws {
 		w.appendWindow(ws)
-		w.addAt(len(w.start)-1, v)
-		return
+		return n
 	}
-	if w.start[n-1] == ws {
-		w.addAt(n-1, v)
-		return
-	}
-	// Out-of-order arrival: find (or create) the window starting at ws.
 	i := w.head + sort.Search(n-w.head, func(i int) bool { return w.start[w.head+i] >= ws })
 	if i == n || w.start[i] != ws {
 		w.insertWindow(i, ws)
 	}
-	w.addAt(i, v)
+	return i
 }
 
 // NumWindows reports how many (non-empty) windows exist.
 func (w *Windowed) NumWindows() int { return len(w.start) - w.head }
 
-// WindowAt returns the i-th live window's start and, in exact mode, its
-// samples (nil in sketch mode — use WindowCountAt/WindowQuantileAt).
+// WindowAt returns the i-th live window's start and samples. It is an
+// exact-mode read and panics on a sketch collector — use WindowCountAt and
+// WindowQuantileAt there.
 func (w *Windowed) WindowAt(i int) (sim.Time, []float64) {
-	if w.Sketched() {
-		return w.start[w.head+i], nil
-	}
+	w.mustExact("WindowAt")
 	return w.start[w.head+i], w.samples[w.head+i]
+}
+
+// mustExact panics when a raw-sample read reaches a sketch collector, which
+// retains no samples to return.
+func (w *Windowed) mustExact(op string) {
+	if w.Sketched() {
+		panic("metrics: " + op + " reads raw samples, which a sketch-mode collector does not keep; use Count and the percentile queries")
+	}
 }
 
 // WindowStartAt reports the start time of the i-th live window.
@@ -235,13 +258,11 @@ func (w *Windowed) windowRange(from, to sim.Time) (lo, hi int) {
 }
 
 // Between returns all samples in windows with start in [from, to). The
-// returned slice is freshly allocated; callers may keep and mutate it.
-// Sketch mode retains no raw samples and returns nil — query Count and
-// PercentileBetween instead.
+// returned slice is freshly allocated; callers may keep and mutate it. It is
+// an exact-mode read and panics on a sketch collector — query Count and
+// PercentileBetween there.
 func (w *Windowed) Between(from, to sim.Time) []float64 {
-	if w.Sketched() {
-		return nil
-	}
+	w.mustExact("Between")
 	lo, hi := w.windowRange(from, to)
 	n := 0
 	for i := lo; i < hi; i++ {
@@ -255,11 +276,6 @@ func (w *Windowed) Between(from, to sim.Time) []float64 {
 		out = append(out, w.samples[i]...)
 	}
 	return out
-}
-
-// All returns every recorded sample (nil in sketch mode).
-func (w *Windowed) All() []float64 {
-	return w.Between(0, sim.Time(math.MaxInt64))
 }
 
 // Count reports the number of samples in [from, to).
@@ -436,6 +452,30 @@ func (r *LatencyRecorder) Classes() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Merged returns the recorder's all-class view: a fresh collector with the
+// recorder's window and mode whose windows are the union of the class
+// windows. Each window holds the classes' samples concatenated in sorted
+// class order (exact mode) or the Merge of the class sketches (sketch mode).
+// Its order statistics — Count, PercentileBetween, PerWindowPercentile,
+// WindowCountAt, WindowQuantileAt — equal those of one collector fed every
+// recorded sample, so the all-class reading needs no second store. The view
+// shares no memory with the recorder.
+func (r *LatencyRecorder) Merged() *Windowed {
+	m := &Windowed{window: r.window, alpha: r.alpha}
+	for _, c := range r.Classes() {
+		w := r.byClass[c]
+		for i := w.head; i < len(w.start); i++ {
+			j := m.windowIndex(w.start[i])
+			if m.Sketched() {
+				m.sketches[j].Merge(w.sketches[i])
+			} else {
+				m.samples[j] = append(m.samples[j], w.samples[i]...)
+			}
+		}
+	}
+	return m
 }
 
 // Trim drops windows before cutoff in every class collector.

@@ -38,8 +38,8 @@ func TestWindowedBetweenAndCount(t *testing.T) {
 	if w.Count(0, 10*sim.Minute) != 10 {
 		t.Fatalf("Count = %d", w.Count(0, 10*sim.Minute))
 	}
-	if len(w.All()) != 10 {
-		t.Fatalf("All = %v", w.All())
+	if len(w.Between(0, math.MaxInt64)) != 10 {
+		t.Fatalf("Between(0, max) = %v", w.Between(0, math.MaxInt64))
 	}
 }
 
@@ -194,8 +194,8 @@ func TestWindowedEdgeBoundaries(t *testing.T) {
 	if n := w.Count(0, far); n != 6 {
 		t.Fatalf("Count excluding window at `to` = %d, want 6", n)
 	}
-	if got := w.All(); len(got) != 7 || got[6] != 99 {
-		t.Fatalf("All = %v, want all 7 samples incl. the far one", got)
+	if got := w.Between(0, math.MaxInt64); len(got) != 7 || got[6] != 99 {
+		t.Fatalf("Between(0, max) = %v, want all 7 samples incl. the far one", got)
 	}
 
 	// Trim at an exact window edge keeps the window starting at the cutoff.

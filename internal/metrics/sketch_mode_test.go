@@ -1,9 +1,11 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"ursa/internal/sim"
@@ -284,22 +286,53 @@ func TestLatencyRecorderSketchMode(t *testing.T) {
 	}
 }
 
-// TestWindowedSketchRawAccessorsNil: sketch mode retains no raw samples and
-// must say so, not return garbage.
-func TestWindowedSketchRawAccessorsNil(t *testing.T) {
+// TestWindowedSketchRawAccessorsPanic: sketch mode retains no raw samples,
+// so the exact-only reads Between and WindowAt must fail loudly instead of
+// returning an empty slice a caller could mistake for "no traffic".
+func TestWindowedSketchRawAccessorsPanic(t *testing.T) {
 	w := NewWindowedSketch(sim.Minute, 0.05)
 	w.Add(0, 1)
 	w.Add(sim.Second, 2)
-	if w.Between(0, sim.Hour) != nil || w.All() != nil {
-		t.Fatal("sketch mode should return nil raw samples")
-	}
-	if _, v := w.WindowAt(0); v != nil {
-		t.Fatal("WindowAt raw samples should be nil in sketch mode")
+	for name, read := range map[string]func(){
+		"Between":  func() { w.Between(0, sim.Hour) },
+		"WindowAt": func() { w.WindowAt(0) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
+					t.Errorf("%s on a sketch collector: recovered %v, want a panic naming it", name, r)
+				}
+			}()
+			read()
+		}()
 	}
 	if got := w.WindowCountAt(0); got != 2 {
 		t.Fatalf("WindowCountAt = %d", got)
 	}
 	if got := w.WindowQuantileAt(0, 100); math.Abs(got-2) > 0.2 {
 		t.Fatalf("WindowQuantileAt(100) = %v, want ≈2", got)
+	}
+}
+
+// TestWindowedSketchBenchFixtureBucketExact: on BenchmarkWindowedSketchPercentile's
+// fixture, whose windows' value ranges wrap so the scratch merge extends
+// downward, every multi-window quantile equals that of one sketch fed the
+// range's samples directly — the in-place downward shift is bucket-exact.
+func TestWindowedSketchBenchFixtureBucketExact(t *testing.T) {
+	const windows, perWindow = 480, 64
+	w := benchWindowedSketch(windows, perWindow)
+	for _, r := range [][2]int{{200, 230}, {0, 480}, {13, 14}, {97, 311}} {
+		whole := stats.NewSketch(0.01)
+		for i := r[0]; i < r[1]; i++ {
+			for j := 0; j < perWindow; j++ {
+				whole.Add(float64((i*perWindow + j) % 997))
+			}
+		}
+		from, to := sim.Time(r[0])*sim.Minute, sim.Time(r[1])*sim.Minute
+		for _, p := range []float64{0, 1, 50, 90, 99, 99.9, 100} {
+			if got, want := w.PercentileBetween(from, to, p), whole.Quantile(p); got != want {
+				t.Fatalf("windows %v p%v = %v, want %v", r, p, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package services
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -95,7 +96,7 @@ func TestUtilizationNeverExceedsOneUnderChurn(t *testing.T) {
 	if busy > capacity+1e-6 {
 		t.Fatalf("busy %.2f exceeds capacity %.2f", busy, capacity)
 	}
-	for _, u := range svc.UtilSamples.All() {
+	for _, u := range svc.UtilSamples.Between(0, math.MaxInt64) {
 		if u < -1e-9 || u > 1+1e-6 {
 			t.Fatalf("utilisation sample out of [0,1]: %v", u)
 		}

@@ -329,8 +329,7 @@ func (f *frame) finish() {
 		if resp < 0 {
 			resp = 0
 		}
-		s.RespTime.Add(now, resp.Millis())
-		s.RespByClass.Record(now, req.Class, resp.Millis())
+		s.RespTime.Record(now, req.Class, resp.Millis())
 	}
 	if tr := f.app.Tracer; tr != nil && req.Job != nil && req.Job.traceID != 0 {
 		tr.AddSpan(req.Job.traceID, trace.Span{

@@ -214,9 +214,10 @@ func frameScenario(seed int64, faults frameFaults) string {
 	}
 	for _, name := range app.ServiceNames() {
 		s := app.Service(name)
+		rt := s.RespTime.Merged()
 		fmt.Fprintf(&sb, "svc %s n=%d p95=%.9f q=%d arr=%.1f\n", name,
-			s.RespTime.Count(0, 5*sim.Minute),
-			s.RespTime.PercentileBetween(0, 5*sim.Minute, 95),
+			rt.Count(0, 5*sim.Minute),
+			rt.PercentileBetween(0, 5*sim.Minute, 95),
 			s.QueueLen(),
 			s.ArrivalsAll.Total(0, 5*sim.Minute))
 		if faults == lateFaults {

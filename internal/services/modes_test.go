@@ -36,7 +36,7 @@ func TestNestedChainEndToEndIsSumOfTiers(t *testing.T) {
 	app := MustNewApp(eng, chainSpec(5, NestedRPC, 10))
 	app.Inject("req")
 	eng.RunUntil(sim.Second)
-	lats := app.E2E.Class("req").All()
+	lats := app.E2E.Class("req").Between(0, math.MaxInt64)
 	if len(lats) != 1 {
 		t.Fatalf("jobs completed = %d", len(lats))
 	}
@@ -45,7 +45,7 @@ func TestNestedChainEndToEndIsSumOfTiers(t *testing.T) {
 	}
 	// Per-tier response excludes downstream wait: every tier records ≈10ms.
 	for i := 1; i <= 5; i++ {
-		rt := app.Service(tierName(i)).RespTime.All()
+		rt := app.Service(tierName(i)).RespTime.Merged().Between(0, math.MaxInt64)
 		if len(rt) != 1 || math.Abs(rt[0]-10) > 1e-6 {
 			t.Fatalf("tier %d response = %v, want [10]", i, rt)
 		}
@@ -62,7 +62,7 @@ func TestEventChainRespondsBeforeDownstream(t *testing.T) {
 	// Tier 1's handler responds after its own 10ms burst + dispatch; the
 	// job as a whole completes only after tier 3 finishes (30ms of serial
 	// CPU across tiers).
-	rt := app.Service("tier1").RespTime.All()
+	rt := app.Service("tier1").RespTime.Merged().Between(0, math.MaxInt64)
 	if len(rt) != 1 || math.Abs(rt[0]-10) > 1e-6 {
 		t.Fatalf("tier1 response = %v, want ≈10ms", rt)
 	}
@@ -76,12 +76,12 @@ func TestMQChainDecouplesProducer(t *testing.T) {
 	app := MustNewApp(eng, chainSpec(3, MQ, 10))
 	app.Inject("req")
 	eng.RunUntil(sim.Second)
-	rt1 := app.Service("tier1").RespTime.All()
+	rt1 := app.Service("tier1").RespTime.Merged().Between(0, math.MaxInt64)
 	if len(rt1) != 1 || math.Abs(rt1[0]-10) > 1e-6 {
 		t.Fatalf("tier1 (producer) response = %v, want 10ms", rt1)
 	}
 	// The job spans all three tiers.
-	lats := app.E2E.Class("req").All()
+	lats := app.E2E.Class("req").Between(0, math.MaxInt64)
 	if len(lats) != 1 || math.Abs(lats[0]-30) > 1e-6 {
 		t.Fatalf("e2e = %v, want 30ms", lats)
 	}
@@ -128,7 +128,7 @@ func throttledChainInflation(t *testing.T, mode CallMode) [5]float64 {
 	eng.RunUntil(6 * sim.Minute)
 	var out [5]float64
 	for i := 1; i <= 5; i++ {
-		rt := app.Service(tierName(i)).RespTime
+		rt := app.Service(tierName(i)).RespTime.Merged()
 		before := stats.Percentile(rt.Between(0, 3*sim.Minute), 99)
 		during := stats.Percentile(rt.Between(3*sim.Minute, 6*sim.Minute), 99)
 		out[i-1] = during / before
@@ -196,12 +196,12 @@ func TestParBranchesRunConcurrently(t *testing.T) {
 	app := MustNewApp(eng, spec)
 	app.Inject("read")
 	eng.RunUntil(sim.Second)
-	lats := app.E2E.Class("read").All()
+	lats := app.E2E.Class("read").Between(0, math.MaxInt64)
 	if len(lats) != 1 || math.Abs(lats[0]-11) > 1e-6 {
 		t.Fatalf("fan-out e2e = %v, want 11ms", lats)
 	}
 	// front's own response time excludes the overlapped downstream waits.
-	rt := app.Service("front").RespTime.All()
+	rt := app.Service("front").RespTime.Merged().Between(0, math.MaxInt64)
 	if len(rt) != 1 || math.Abs(rt[0]-1) > 1e-6 {
 		t.Fatalf("front response = %v, want 1ms", rt)
 	}
@@ -227,8 +227,8 @@ func TestSpawnCreatesDerivedJob(t *testing.T) {
 	app := MustNewApp(eng, spec)
 	app.Inject("upload")
 	eng.RunUntil(sim.Second)
-	up := app.E2E.Class("upload").All()
-	an := app.E2E.Class("analyze").All()
+	up := app.E2E.Class("upload").Between(0, math.MaxInt64)
+	an := app.E2E.Class("analyze").Between(0, math.MaxInt64)
 	if len(up) != 1 || math.Abs(up[0]-5) > 1e-6 {
 		t.Fatalf("upload e2e = %v, want 5ms (spawn is async)", up)
 	}
@@ -251,7 +251,7 @@ func TestDaemonPoolLimitsEventDispatch(t *testing.T) {
 	app.Inject("req")
 	app.Inject("req")
 	eng.RunUntil(sim.Second)
-	rt := app.Service("tier1").RespTime.All()
+	rt := app.Service("tier1").RespTime.Merged().Between(0, math.MaxInt64)
 	if len(rt) != 2 {
 		t.Fatalf("tier1 handled %d", len(rt))
 	}

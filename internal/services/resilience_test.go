@@ -87,7 +87,7 @@ func TestRetryRecoversDroppedRPC(t *testing.T) {
 		t.Fatalf("availability = %v, want 0.5 (1 of 2 attempts failed)", got)
 	}
 	// Latency ≈ 5 ms compute + 50 ms timeout + ~10 ms backoff + 10 ms retry.
-	lat := app.E2E.Class("get").All()[0]
+	lat := app.E2E.Class("get").Between(0, math.MaxInt64)[0]
 	if lat < 65 || lat > 90 {
 		t.Fatalf("E2E latency %v ms, want ≈75 ms (timeout + backoff + retry)", lat)
 	}
@@ -107,8 +107,8 @@ func TestRetriesExhaustedFailJob(t *testing.T) {
 	if got := app.Availability(); got != 0 {
 		t.Fatalf("app availability = %v, want 0", got)
 	}
-	if rec := app.E2E.Class("get"); rec != nil && len(rec.All()) != 0 {
-		t.Fatalf("failed job produced %d E2E samples, want 0", len(rec.All()))
+	if rec := app.E2E.Class("get"); rec != nil && rec.Count(0, math.MaxInt64) != 0 {
+		t.Fatalf("failed job produced %d E2E samples, want 0", rec.Count(0, math.MaxInt64))
 	}
 	be := app.Service("backend")
 	if got := be.RPCAttempts.Total(0, sim.Second); got != 3 {
@@ -159,7 +159,7 @@ func TestCrashReplicaFailsInflight(t *testing.T) {
 	if len(hook) != 1 || hook[0].Service != "api" || hook[0].Replicas != 1 {
 		t.Fatalf("OnEviction payload = %+v", hook)
 	}
-	if n := len(svc.RespTime.All()); n != 0 {
+	if n := svc.RespTime.Merged().Count(0, math.MaxInt64); n != 0 {
 		t.Fatalf("crashed request left %d tier latency samples, want 0", n)
 	}
 }
@@ -199,7 +199,7 @@ func TestWarmReplicaRunsDerated(t *testing.T) {
 	app.Inject("get")
 	eng.RunUntil(2 * sim.Second)
 
-	lats := app.E2E.Class("get").All()
+	lats := app.E2E.Class("get").Between(0, math.MaxInt64)
 	if len(lats) != 2 {
 		t.Fatalf("completed %d jobs, want 2", len(lats))
 	}

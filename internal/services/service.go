@@ -31,11 +31,11 @@ type Service struct {
 	ingressRR   int
 
 	// RespTime records the per-tier response time of every request handled
-	// by the service: (completion − arrival) − nested-RPC downstream wait,
-	// exactly the S0−R0 metric of Fig. 2. Milliseconds.
-	RespTime *metrics.Windowed
-	// RespByClass is RespTime split per request class.
-	RespByClass *metrics.LatencyRecorder
+	// by the service, per request class: (completion − arrival) −
+	// nested-RPC downstream wait, exactly the S0−R0 metric of Fig. 2.
+	// Milliseconds. It is the service's only latency store; the all-class
+	// reading is RespTime.Merged().
+	RespTime *metrics.LatencyRecorder
 	// Arrivals counts arriving requests per class (the per-class service
 	// load the LPR controller divides by the threshold).
 	Arrivals map[string]*metrics.CounterSeries
@@ -65,8 +65,7 @@ func newService(app *App, spec ServiceSpec) *Service {
 		spec:        spec,
 		rng:         app.Eng.RNG("svc/" + spec.Name),
 		cpuFactor:   1,
-		RespTime:    app.newWindowed(),
-		RespByClass: app.newLatencyRecorder(),
+		RespTime:    app.newLatencyRecorder(),
 		Arrivals:    map[string]*metrics.CounterSeries{},
 		ArrivalsAll: metrics.NewCounterSeries(app.window),
 		UtilSamples: metrics.NewWindowed(app.window),

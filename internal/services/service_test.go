@@ -30,7 +30,7 @@ func TestSingleRequestLatency(t *testing.T) {
 	app := MustNewApp(eng, oneTierSpec(1))
 	app.Inject("get")
 	eng.RunUntil(sim.Second)
-	lats := app.E2E.Class("get").All()
+	lats := app.E2E.Class("get").Between(0, math.MaxInt64)
 	if len(lats) != 1 {
 		t.Fatalf("completed %d jobs, want 1", len(lats))
 	}
@@ -53,7 +53,7 @@ func TestLowLoadLatencyNearServiceTime(t *testing.T) {
 	}
 	eng.Schedule(0, arrive)
 	eng.RunUntil(2 * sim.Minute)
-	lats := app.E2E.Class("get").All()
+	lats := app.E2E.Class("get").Between(0, math.MaxInt64)
 	p50 := stats.Percentile(lats, 50)
 	if math.Abs(p50-10) > 1 {
 		t.Fatalf("p50 at low load = %vms, want ≈10ms", p50)
@@ -74,7 +74,7 @@ func TestQueueingLatencyGrowsWithLoad(t *testing.T) {
 		}
 		eng.Schedule(0, arrive)
 		eng.RunUntil(3 * sim.Minute)
-		return stats.Percentile(app.E2E.Class("get").All(), 99)
+		return stats.Percentile(app.E2E.Class("get").Between(0, math.MaxInt64), 99)
 	}
 	lo, hi := p99At(160), p99At(380)
 	if hi < lo*1.5 {
@@ -94,7 +94,7 @@ func TestMoreReplicasReduceLatency(t *testing.T) {
 		}
 		eng.Schedule(0, arrive)
 		eng.RunUntil(2 * sim.Minute)
-		return stats.Percentile(app.E2E.Class("get").All(), 99)
+		return stats.Percentile(app.E2E.Class("get").Between(0, math.MaxInt64), 99)
 	}
 	one, four := run(1), run(4)
 	if four > one*0.8 {
@@ -231,7 +231,7 @@ func TestPriorityOrdering(t *testing.T) {
 	eng.RunUntil(sim.Minute)
 	// hi arrives last but runs right after the single in-flight lo request:
 	// latency ≈ 10ms (remaining) + 10ms own ≈ 20ms, far below 210ms FIFO.
-	hi := app.E2E.Class("hi").All()
+	hi := app.E2E.Class("hi").Between(0, math.MaxInt64)
 	if len(hi) != 1 || hi[0] > 25 {
 		t.Fatalf("high-priority latency = %v, want ≈20ms", hi)
 	}
@@ -265,7 +265,7 @@ func TestUtilizationSampling(t *testing.T) {
 	}
 	eng.Schedule(0, arrive)
 	eng.RunUntil(5 * sim.Minute)
-	samples := app.Service("api").UtilSamples.All()
+	samples := app.Service("api").UtilSamples.Between(0, math.MaxInt64)
 	if len(samples) < 4 {
 		t.Fatalf("got %d utilisation samples", len(samples))
 	}

@@ -10,8 +10,8 @@ import (
 // percentiles with memory O(requests). Production-scale runs set SketchAlpha
 // and Retention so memory is O(retained windows) instead.
 type TelemetryConfig struct {
-	// SketchAlpha, when > 0, backs the latency collectors (E2E, per-service
-	// RespTime and RespByClass) with mergeable quantile sketches of that
+	// SketchAlpha, when > 0, backs the latency collectors (E2E and
+	// per-service RespTime) with mergeable quantile sketches of that
 	// relative-error bound instead of raw samples. Utilisation samples stay
 	// exact — they are one value per window already.
 	SketchAlpha float64
@@ -22,14 +22,6 @@ type TelemetryConfig struct {
 
 // Telemetry reports the app's telemetry configuration.
 func (a *App) Telemetry() TelemetryConfig { return a.telemetry }
-
-// newWindowed builds a latency-sample collector per the telemetry config.
-func (a *App) newWindowed() *metrics.Windowed {
-	if a.telemetry.SketchAlpha > 0 {
-		return metrics.NewWindowedSketch(a.window, a.telemetry.SketchAlpha)
-	}
-	return metrics.NewWindowed(a.window)
-}
 
 // newLatencyRecorder builds a per-class recorder per the telemetry config.
 func (a *App) newLatencyRecorder() *metrics.LatencyRecorder {
@@ -47,7 +39,6 @@ func (a *App) TrimTelemetry(cutoff sim.Time) {
 	a.E2E.Trim(cutoff)
 	for _, s := range a.ordered {
 		s.RespTime.Trim(cutoff)
-		s.RespByClass.Trim(cutoff)
 		s.UtilSamples.Trim(cutoff)
 		s.ArrivalsAll.Trim(cutoff)
 		for _, c := range s.Arrivals {
@@ -66,7 +57,6 @@ func (a *App) TelemetryFootprintBytes() int {
 	b := a.E2E.FootprintBytes()
 	for _, s := range a.ordered {
 		b += s.RespTime.FootprintBytes()
-		b += s.RespByClass.FootprintBytes()
 		b += s.UtilSamples.FootprintBytes()
 		b += s.ArrivalsAll.FootprintBytes()
 		for _, c := range s.Arrivals {

@@ -34,7 +34,7 @@ func TestTelemetrySketchMatchesExact(t *testing.T) {
 	const alpha = 0.01
 	exact := runTelemetryApp(TelemetryConfig{}, 5)
 	sk := runTelemetryApp(TelemetryConfig{SketchAlpha: alpha}, 5)
-	if !sk.E2E.Class("get").Sketched() || sk.Service("api").RespTime.Alpha() != alpha {
+	if !sk.E2E.Class("get").Sketched() || sk.Service("api").RespTime.Merged().Alpha() != alpha {
 		t.Fatal("telemetry config did not reach the collectors")
 	}
 	horizon := 5 * sim.Minute

@@ -39,3 +39,26 @@ func FuzzSpecParse(f *testing.F) {
 		Build(file)
 	})
 }
+
+// FuzzParseYAML drives the YAML-subset parser alone, below the decoder:
+// any document must either parse or come back as an error, never panic.
+// The seed corpus is every checked-in YAML spec plus any crasher under
+// testdata/fuzz/FuzzParseYAML.
+func FuzzParseYAML(f *testing.F) {
+	names, err := fs.Glob(specs.FS, "*.yaml")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := fs.ReadFile(specs.FS, name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if n, err := parseYAML(src); err == nil && n == nil {
+			t.Fatal("parseYAML returned neither a document nor an error")
+		}
+	})
+}

@@ -298,9 +298,8 @@ func (st *store) add(idx int, n int64, maxBins int) {
 			floor = hi - maxBins + 1
 		}
 		if floor < lo {
-			grown := make([]int64, hi-floor+1)
-			copy(grown[lo-floor:], st.bins)
-			st.bins, st.offset = grown, floor
+			st.growDown(lo - floor)
+			st.offset = floor
 		}
 		if idx < st.offset {
 			st.bins[0] += n
@@ -315,6 +314,22 @@ func (st *store) add(idx int, n int64, maxBins int) {
 		}
 	}
 	st.bins[idx-st.offset] += n
+}
+
+// growDown prepends k zero buckets, shifting within the existing capacity
+// when it fits so a warmed (Reset and reused) store extends downward without
+// allocating.
+func (st *store) growDown(k int) {
+	n := len(st.bins) + k
+	if n > cap(st.bins) {
+		grown := make([]int64, n)
+		copy(grown[k:], st.bins)
+		st.bins = grown
+		return
+	}
+	st.bins = st.bins[:n]
+	copy(st.bins[k:], st.bins[:n-k])
+	clear(st.bins[:k])
 }
 
 // collapseLowest folds the k lowest buckets into bucket k, then drops them.

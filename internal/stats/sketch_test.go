@@ -243,3 +243,40 @@ func TestSketchFootprintBounded(t *testing.T) {
 		t.Fatalf("footprint grew with sample count: %d -> %d bytes", grew[0], grew[1])
 	}
 }
+
+// TestSketchWarmMergeAllocFree: a Reset scratch sketch keeps its bin
+// capacity, so re-merging window sketches whose ranges descend — every merge
+// extends the store downward — shifts within that capacity and allocates
+// nothing. Multi-window PercentileBetween in sketch mode and the merged
+// all-class view both merge this way.
+func TestSketchWarmMergeAllocFree(t *testing.T) {
+	srcs := make([]*Sketch, 8)
+	for i := range srcs {
+		srcs[i] = NewSketch(0.01)
+		for j := 0; j < 200; j++ {
+			srcs[i].Add(float64((len(srcs)-i)*100 + j))
+		}
+	}
+	scratch := NewSketch(0.01)
+	merge := func() {
+		scratch.Reset()
+		for _, s := range srcs {
+			scratch.Merge(s)
+		}
+	}
+	merge() // warm: the first pass sizes the bins
+	if n := testing.AllocsPerRun(100, merge); n != 0 {
+		t.Fatalf("warm scratch merge allocates %v times, want 0", n)
+	}
+	whole := NewSketch(0.01)
+	for _, s := range srcs {
+		for j := 0; j < 200; j++ {
+			whole.Add(s.Min() + float64(j))
+		}
+	}
+	for p := 0.0; p <= 100; p += 2.5 {
+		if scratch.Quantile(p) != whole.Quantile(p) {
+			t.Fatalf("p%v: merged %v != whole %v", p, scratch.Quantile(p), whole.Quantile(p))
+		}
+	}
+}

@@ -206,7 +206,7 @@ func arrivalFingerprint(seed int64, base Pattern, script func(eng *sim.Engine, g
 		fmt.Fprintf(&b, "%d,", int64(ts))
 	}
 	b.WriteString("\n")
-	p99 := app.Service("api").RespTime.PerWindowPercentile(10*sim.Minute, 99)
+	p99 := app.Service("api").RespTime.Merged().PerWindowPercentile(10*sim.Minute, 99)
 	fmt.Fprintf(&b, "p99=%v\n", p99)
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
