@@ -93,14 +93,6 @@ func (c *Cluster) GroupNodes(name string) []*Node {
 	return nil
 }
 
-// GroupAvailableCapacity sums the capacities of a group's up members.
-func (c *Cluster) GroupAvailableCapacity(name string) float64 {
-	if g := c.groupByName[name]; g != nil {
-		return g.availCap
-	}
-	return 0
-}
-
 // GroupUsed sums allocated CPUs on a group's up members.
 func (c *Cluster) GroupUsed(name string) float64 {
 	if g := c.groupByName[name]; g != nil {

@@ -124,33 +124,53 @@ func TestLatencyRecorderMergedEmpty(t *testing.T) {
 }
 
 // TestWindowedSealsClosedWindows: once a newer window opens, the closed
-// exact windows hold their samples at exact capacity — 8 B per sample plus
-// a per-window constant — and a late sample still lands in its sealed window.
+// exact windows hold their samples at exact capacity — 4 B per whole-
+// nanosecond latency in a narrow window, 8 B per sample in a promoted one,
+// plus a per-window constant — and a late sample still lands in its sealed
+// window, promoting it when it is not a whole nanosecond count.
 func TestWindowedSealsClosedWindows(t *testing.T) {
 	const windows, perWindow = 40, 1000 // 1000 samples leave append slack before sealing
 	w := NewWindowed(sim.Minute)
 	for i := 0; i < windows; i++ {
 		for j := 0; j < perWindow; j++ {
-			w.Add(sim.Time(i)*sim.Minute+sim.Time(j)*sim.Millisecond, float64(j))
+			v := float64(j) // whole milliseconds: narrow
+			if i%4 == 1 {
+				v = float64(j) / 7 // utilisation-like floats: the window goes wide
+			}
+			w.Add(sim.Time(i)*sim.Minute+sim.Time(j)*sim.Millisecond, v)
 		}
 	}
 	w.Add(windows*sim.Minute, 1) // close the last full window
+	narrow, wide := 0, 0
 	for i := 0; i < windows; i++ {
-		if _, v := w.WindowAt(i); cap(v) != len(v) {
-			t.Fatalf("closed window %d: cap %d for %d samples, want exact", i, cap(v), len(v))
+		e := w.exact[w.head+i]
+		switch {
+		case i%4 != 1 && e.wide == nil && len(e.ns) == perWindow && cap(e.ns) == perWindow:
+			narrow += perWindow
+		case i%4 == 1 && e.ns == nil && len(e.wide) == perWindow && cap(e.wide) == perWindow:
+			wide += perWindow
+		default:
+			t.Fatalf("closed window %d (wide: %v): %d narrow (cap %d), %d wide (cap %d); want %d at exact capacity",
+				i, i%4 == 1, len(e.ns), cap(e.ns), len(e.wide), cap(e.wide), perWindow)
 		}
 	}
-	// Per window: 8 B of start time and a 24 B slice header, each at most
+	// Per window: 8 B of start time and a 48 B header, each at most
 	// doubled by the window arrays' own append growth.
-	const perWindowConst = 2 * (8 + 24)
+	const perWindowConst = 2 * (8 + exactWindowHeader)
 	samples := windows*perWindow + 1
-	if got, limit := w.FootprintBytes(), 8*samples+perWindowConst*w.NumWindows(); got > limit {
-		t.Fatalf("FootprintBytes = %d for %d samples in %d windows, want ≤ %d", got, samples, w.NumWindows(), limit)
+	open := 4 * cap(w.exact[len(w.exact)-1].ns) // the newest window is not sealed
+	if got, limit := w.FootprintBytes(), 4*narrow+8*wide+open+perWindowConst*w.NumWindows(); got > limit {
+		t.Fatalf("FootprintBytes = %d for %d narrow and %d wide samples in %d windows, want ≤ %d",
+			got, narrow, wide, w.NumWindows(), limit)
 	}
 
-	w.Add(3*sim.Minute+sim.Second, -1) // late sample into a sealed window
-	if _, v := w.WindowAt(3); len(v) != perWindow+1 || v[perWindow] != -1 {
+	w.Add(3*sim.Minute+sim.Second, -1) // late sample into a sealed narrow window
+	v := w.Between(3*sim.Minute, 4*sim.Minute)
+	if len(v) != perWindow+1 || v[0] != 0 || v[perWindow-1] != perWindow-1 || v[perWindow] != -1 {
 		t.Fatalf("late sample: window 3 holds %d samples ending %v", len(v), v[len(v)-1])
+	}
+	if e := w.exact[w.head+3]; e.ns != nil || len(e.wide) != perWindow+1 {
+		t.Fatalf("late negative sample did not promote window 3: %d narrow, %d wide", len(e.ns), len(e.wide))
 	}
 	if got := w.Count(0, math.MaxInt64); got != samples+1 {
 		t.Fatalf("Count = %d, want %d", got, samples+1)

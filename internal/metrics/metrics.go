@@ -9,15 +9,18 @@
 // DDSketch-style) — percentiles within a documented relative-error bound α,
 // memory O(windows), which is what million-user runs need. Both modes share
 // one query API; window storage is a head-indexed ring with amortized O(1)
-// trimming, so periodic retention trims never reallocate per call. Raw-sample
-// reads (Between, WindowAt) are exact-only and panic on a sketch collector.
-// A closed exact window is sealed to its exact size, so retained samples
-// cost 8 bytes each with no append growth slack.
+// trimming, so periodic retention trims never reallocate per call. The
+// raw-sample read Between is exact-only and panics on a sketch collector.
+// An exact window stores whole-nanosecond latencies as 4-byte counts and
+// falls back to float64 only for samples that are not (see exactWindow); a
+// closed exact window is sealed to its exact size, with no append growth
+// slack.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ursa/internal/sim"
@@ -37,13 +40,102 @@ type Windowed struct {
 	// Live windows are start[head:] — head advances on Trim and the
 	// arrays compact (copy down) only when more than half is dead, so
 	// trimming is amortized O(1) per window instead of O(windows) per call.
-	head    int
-	start   []sim.Time  // window start times, ascending
-	samples [][]float64 // exact mode: samples per window
+	head  int
+	start []sim.Time    // window start times, ascending
+	exact []exactWindow // exact mode: samples per window
 
 	sketches []*stats.Sketch // sketch mode: one sketch per window
 	free     []*stats.Sketch // recycled sketches from trimmed windows
 	scratch  *stats.Sketch   // merge buffer for multi-window queries
+}
+
+// exactWindow holds one exact window's samples in insertion order. Samples
+// are milliseconds, and every latency comes from sim.Time.Millis, which is
+// float64(ns)/1e6 of an integer nanosecond count: below 2³² ns (4.295 s) the
+// window stores that count in 4 bytes and reads it back as float64(u)/1e6,
+// the same expression, so the round trip is bit-exact. A sample that does
+// not round-trip bit for bit (utilisation, negatives, -0, NaN, ±Inf, ≥ 2³²
+// ns, any other float) promotes the window to float64 storage in insertion
+// order, and the window stays wide.
+type exactWindow struct {
+	ns   []uint32  // whole nanoseconds, while the window is narrow
+	wide []float64 // non-nil once promoted; ns is then nil
+}
+
+// exactWindowHeader is the size of an exactWindow: two slice headers.
+const exactWindowHeader = 48
+
+// wholeNanos returns v's nanosecond count when storing it as one is
+// lossless: the count fits 32 bits and converts back to v's exact bits, so
+// -0 and NaN never collapse into 0.
+func wholeNanos(v float64) (uint32, bool) {
+	x := v*1e6 + 0.5 // rounds to nearest once truncated; NaN fails the range test
+	if !(x >= 0 && x < 1<<32) {
+		return 0, false
+	}
+	u := uint32(x)
+	return u, math.Float64bits(float64(u)/1e6) == math.Float64bits(v)
+}
+
+func (e *exactWindow) count() int {
+	if e.wide != nil {
+		return len(e.wide)
+	}
+	return len(e.ns)
+}
+
+func (e *exactWindow) add(v float64) {
+	if e.wide == nil {
+		if u, ok := wholeNanos(v); ok {
+			e.ns = append(e.ns, u)
+			return
+		}
+		e.promote()
+	}
+	e.wide = append(e.wide, v)
+}
+
+// promote moves a narrow window to float64 storage, keeping sample order.
+func (e *exactWindow) promote() {
+	e.wide = e.appendTo(make([]float64, 0, len(e.ns)+1))
+	e.ns = nil
+}
+
+// appendTo appends the window's samples, as float64 milliseconds in
+// insertion order, to dst.
+func (e *exactWindow) appendTo(dst []float64) []float64 {
+	if e.wide != nil {
+		return append(dst, e.wide...)
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(e.ns))[:n+len(e.ns)]
+	out := dst[n:]
+	for i, u := range e.ns[:len(out)] {
+		out[i] = float64(u) / 1e6
+	}
+	return dst
+}
+
+// extend appends src's samples in order, promoting e if src is wide.
+func (e *exactWindow) extend(src *exactWindow) {
+	if e.wide == nil && src.wide == nil {
+		e.ns = append(e.ns, src.ns...)
+		return
+	}
+	if e.wide == nil {
+		e.promote()
+	}
+	e.wide = src.appendTo(e.wide)
+}
+
+// seal drops append's growth slack from a closed window.
+func (e *exactWindow) seal() {
+	if cap(e.ns) > len(e.ns) {
+		e.ns = append(make([]uint32, 0, len(e.ns)), e.ns...)
+	}
+	if cap(e.wide) > len(e.wide) {
+		e.wide = append(make([]float64, 0, len(e.wide)), e.wide...)
+	}
 }
 
 // NewWindowed returns an exact-mode collector with the given window size.
@@ -57,7 +149,7 @@ func NewWindowed(window sim.Time) *Windowed {
 // NewWindowedSketch returns a sketch-mode collector: each window stores a
 // mergeable quantile sketch with relative-error bound alpha instead of raw
 // samples, so memory is O(windows) regardless of sample count. The raw-sample
-// reads Between and WindowAt panic in this mode.
+// read Between panics in this mode.
 func NewWindowedSketch(window sim.Time, alpha float64) *Windowed {
 	w := NewWindowed(window)
 	if alpha <= 0 || alpha >= 1 {
@@ -92,25 +184,23 @@ func (w *Windowed) addAt(i int, v float64) {
 		w.sketches[i].Add(v)
 		return
 	}
-	w.samples[i] = append(w.samples[i], v)
+	w.exact[i].add(v)
 }
 
 // appendWindow opens a new newest window. In exact mode it first seals the
 // previous newest window: its samples move to an exact-capacity slice, so a
 // closed window keeps none of append's growth slack. A late out-of-order
-// sample routed to a sealed window simply reallocates it.
+// sample routed to a sealed window simply reallocates (or promotes) it.
 func (w *Windowed) appendWindow(ws sim.Time) {
 	w.start = append(w.start, ws)
 	if w.Sketched() {
 		w.sketches = append(w.sketches, w.newSketch())
 		return
 	}
-	if n := len(w.samples); n > w.head {
-		if prev := w.samples[n-1]; cap(prev) > len(prev) {
-			w.samples[n-1] = append(make([]float64, 0, len(prev)), prev...)
-		}
+	if n := len(w.exact); n > w.head {
+		w.exact[n-1].seal()
 	}
-	w.samples = append(w.samples, nil)
+	w.exact = append(w.exact, exactWindow{})
 }
 
 // insertWindow inserts an empty window at physical index i (out-of-order
@@ -124,9 +214,7 @@ func (w *Windowed) insertWindow(i int, ws sim.Time) {
 		copy(w.sketches[i+1:], w.sketches[i:])
 		w.sketches[i] = w.newSketch()
 	} else {
-		w.samples = append(w.samples, nil)
-		copy(w.samples[i+1:], w.samples[i:])
-		w.samples[i] = nil
+		w.exact = slices.Insert(w.exact, i, exactWindow{})
 	}
 }
 
@@ -138,7 +226,7 @@ func (w *Windowed) dropOldest() {
 		w.free = append(w.free, s)
 		w.sketches[w.head] = nil
 	} else {
-		w.samples[w.head] = nil
+		w.exact[w.head] = exactWindow{}
 	}
 	w.head++
 }
@@ -153,26 +241,14 @@ func (w *Windowed) compact() {
 	w.start = w.start[:n]
 	if w.Sketched() {
 		copy(w.sketches, w.sketches[w.head:])
-		clearSketchTail(w.sketches[n:])
+		clear(w.sketches[n:])
 		w.sketches = w.sketches[:n]
 	} else {
-		copy(w.samples, w.samples[w.head:])
-		clearSampleTail(w.samples[n:])
-		w.samples = w.samples[:n]
+		copy(w.exact, w.exact[w.head:])
+		clear(w.exact[n:])
+		w.exact = w.exact[:n]
 	}
 	w.head = 0
-}
-
-func clearSketchTail(tail []*stats.Sketch) {
-	for i := range tail {
-		tail[i] = nil
-	}
-}
-
-func clearSampleTail(tail [][]float64) {
-	for i := range tail {
-		tail[i] = nil
-	}
 }
 
 // Add records one sample at time t. Samples normally arrive in
@@ -208,14 +284,6 @@ func (w *Windowed) windowIndex(ws sim.Time) int {
 // NumWindows reports how many (non-empty) windows exist.
 func (w *Windowed) NumWindows() int { return len(w.start) - w.head }
 
-// WindowAt returns the i-th live window's start and samples. It is an
-// exact-mode read and panics on a sketch collector — use WindowCountAt and
-// WindowQuantileAt there.
-func (w *Windowed) WindowAt(i int) (sim.Time, []float64) {
-	w.mustExact("WindowAt")
-	return w.start[w.head+i], w.samples[w.head+i]
-}
-
 // mustExact panics when a raw-sample read reaches a sketch collector, which
 // retains no samples to return.
 func (w *Windowed) mustExact(op string) {
@@ -232,7 +300,7 @@ func (w *Windowed) WindowCountAt(i int) int {
 	if w.Sketched() {
 		return int(w.sketches[w.head+i].Count())
 	}
-	return len(w.samples[w.head+i])
+	return w.exact[w.head+i].count()
 }
 
 // WindowQuantileAt reports the p-th percentile of the i-th live window
@@ -241,11 +309,27 @@ func (w *Windowed) WindowQuantileAt(i int, p float64) float64 {
 	if w.Sketched() {
 		return w.sketches[w.head+i].Quantile(p)
 	}
-	s := w.samples[w.head+i]
-	if len(s) == 0 {
+	i += w.head
+	if w.exact[i].count() == 0 {
 		return math.NaN()
 	}
-	return stats.Percentile(s, p)
+	return w.exactPercentile(i, i+1, p)
+}
+
+// exactPercentile gathers the samples of physical windows [lo, hi), in
+// order, into a pooled scratch buffer and selects the p-th percentile in
+// place — 0 for no samples, like stats.Percentile. It allocates nothing in
+// steady state.
+func (w *Windowed) exactPercentile(lo, hi int, p float64) float64 {
+	scratch := stats.GetScratch()
+	buf := *scratch
+	for i := lo; i < hi; i++ {
+		buf = w.exact[i].appendTo(buf)
+	}
+	v := stats.PercentileInPlace(buf, p)
+	*scratch = buf[:0]
+	stats.PutScratch(scratch)
+	return v
 }
 
 // windowRange binary-searches the ascending start slice and returns the
@@ -266,14 +350,14 @@ func (w *Windowed) Between(from, to sim.Time) []float64 {
 	lo, hi := w.windowRange(from, to)
 	n := 0
 	for i := lo; i < hi; i++ {
-		n += len(w.samples[i])
+		n += w.exact[i].count()
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]float64, 0, n)
 	for i := lo; i < hi; i++ {
-		out = append(out, w.samples[i]...)
+		out = w.exact[i].appendTo(out)
 	}
 	return out
 }
@@ -286,7 +370,7 @@ func (w *Windowed) Count(from, to sim.Time) int {
 		if w.Sketched() {
 			n += int(w.sketches[i].Count())
 		} else {
-			n += len(w.samples[i])
+			n += w.exact[i].count()
 		}
 	}
 	return n
@@ -316,15 +400,7 @@ func (w *Windowed) PercentileBetween(from, to sim.Time, p float64) float64 {
 		}
 		return w.scratch.Quantile(p)
 	}
-	scratch := stats.GetScratch()
-	buf := *scratch
-	for i := lo; i < hi; i++ {
-		buf = append(buf, w.samples[i]...)
-	}
-	v := stats.PercentileInPlace(buf, p)
-	*scratch = buf[:0]
-	stats.PutScratch(scratch)
-	return v
+	return w.exactPercentile(lo, hi, p)
 }
 
 // PerWindowPercentile returns, for each aligned window of the run
@@ -345,8 +421,8 @@ func (w *Windowed) PerWindowPercentile(horizon sim.Time, p float64) []float64 {
 		}
 		if w.Sketched() {
 			out[idx] = w.sketches[i].Quantile(p)
-		} else if len(w.samples[i]) > 0 {
-			out[idx] = stats.Percentile(w.samples[i], p)
+		} else if w.exact[i].count() > 0 {
+			out[idx] = w.exactPercentile(i, i+1, p)
 		}
 	}
 	return out
@@ -370,11 +446,11 @@ func (w *Windowed) Reset() {
 			s.Reset()
 			w.free = append(w.free, s)
 		}
-		clearSketchTail(w.sketches)
+		clear(w.sketches)
 		w.sketches = w.sketches[:0]
 	} else {
-		clearSampleTail(w.samples)
-		w.samples = w.samples[:0]
+		clear(w.exact)
+		w.exact = w.exact[:0]
 	}
 	w.start = w.start[:0]
 	w.head = 0
@@ -399,9 +475,9 @@ func (w *Windowed) FootprintBytes() int {
 		}
 		return b
 	}
-	b += 24 * cap(w.samples)
-	for i := w.head; i < len(w.samples); i++ {
-		b += 8 * cap(w.samples[i])
+	b += exactWindowHeader * cap(w.exact)
+	for i := w.head; i < len(w.exact); i++ {
+		b += 4*cap(w.exact[i].ns) + 8*cap(w.exact[i].wide)
 	}
 	return b
 }
@@ -471,7 +547,7 @@ func (r *LatencyRecorder) Merged() *Windowed {
 			if m.Sketched() {
 				m.sketches[j].Merge(w.sketches[i])
 			} else {
-				m.samples[j] = append(m.samples[j], w.samples[i]...)
+				m.exact[j].extend(&w.exact[i])
 			}
 		}
 	}

@@ -16,12 +16,11 @@ func TestWindowedBucketsByMinute(t *testing.T) {
 	if w.NumWindows() != 2 {
 		t.Fatalf("NumWindows = %d", w.NumWindows())
 	}
-	s0, v0 := w.WindowAt(0)
-	if s0 != 0 || len(v0) != 2 {
-		t.Fatalf("window 0: start=%v n=%d", s0, len(v0))
+	if s0, n0 := w.WindowStartAt(0), w.WindowCountAt(0); s0 != 0 || n0 != 2 {
+		t.Fatalf("window 0: start=%v n=%d", s0, n0)
 	}
-	s1, v1 := w.WindowAt(1)
-	if s1 != sim.Minute || len(v1) != 1 || v1[0] != 3 {
+	s1, v1 := w.WindowStartAt(1), w.Between(sim.Minute, 2*sim.Minute)
+	if s1 != sim.Minute || w.WindowCountAt(1) != 1 || len(v1) != 1 || v1[0] != 3 {
 		t.Fatalf("window 1: start=%v v=%v", s1, v1)
 	}
 }
@@ -65,7 +64,7 @@ func TestWindowedTrimAndReset(t *testing.T) {
 	if w.NumWindows() != 5 {
 		t.Fatalf("after Trim: %d windows", w.NumWindows())
 	}
-	if s, _ := w.WindowAt(0); s != 5*sim.Minute {
+	if s := w.WindowStartAt(0); s != 5*sim.Minute {
 		t.Fatalf("first window after Trim starts at %v", s)
 	}
 	w.Reset()
@@ -200,7 +199,7 @@ func TestWindowedEdgeBoundaries(t *testing.T) {
 
 	// Trim at an exact window edge keeps the window starting at the cutoff.
 	w.Trim(3 * sim.Minute)
-	if s, v := w.WindowAt(0); s != 3*sim.Minute || len(v) != 1 || v[0] != 3 {
+	if s, v := w.WindowStartAt(0), w.Between(3*sim.Minute, 4*sim.Minute); s != 3*sim.Minute || w.WindowCountAt(0) != 1 || len(v) != 1 || v[0] != 3 {
 		t.Fatalf("after Trim(3m): first window start=%v v=%v", s, v)
 	}
 	if got := w.Between(0, far+sim.Minute); len(got) != 4 || got[0] != 3 || got[3] != 99 {

@@ -172,8 +172,8 @@ func TestWindowedSketchVsExact(t *testing.T) {
 		sg := sk.PerWindowPercentile(horizon, 99)
 		byStart := map[sim.Time][]float64{}
 		for i := 0; i < exact.NumWindows(); i++ {
-			s, v := exact.WindowAt(i)
-			byStart[s] = v
+			s := exact.WindowStartAt(i)
+			byStart[s] = exact.Between(s, s+exact.Window())
 		}
 		for i := range eg {
 			if math.IsNaN(eg[i]) != math.IsNaN(sg[i]) {
@@ -236,7 +236,7 @@ func TestWindowedTrimRing(t *testing.T) {
 	if got := w.NumWindows(); got != 11 {
 		t.Fatalf("live windows after rolling trim = %d, want 11", got)
 	}
-	if s, v := w.WindowAt(0); s != 89*sim.Minute || v[0] != 89 {
+	if s, v := w.WindowStartAt(0), w.Between(0, 90*sim.Minute); s != 89*sim.Minute || len(v) != 1 || v[0] != 89 {
 		t.Fatalf("oldest retained window start=%v v=%v", s, v)
 	}
 	if got := w.PercentileBetween(89*sim.Minute, 100*sim.Minute, 100); got != 99 {
@@ -287,25 +287,20 @@ func TestLatencyRecorderSketchMode(t *testing.T) {
 }
 
 // TestWindowedSketchRawAccessorsPanic: sketch mode retains no raw samples,
-// so the exact-only reads Between and WindowAt must fail loudly instead of
-// returning an empty slice a caller could mistake for "no traffic".
+// so the exact-only read Between must fail loudly instead of returning an
+// empty slice a caller could mistake for "no traffic".
 func TestWindowedSketchRawAccessorsPanic(t *testing.T) {
 	w := NewWindowedSketch(sim.Minute, 0.05)
 	w.Add(0, 1)
 	w.Add(sim.Second, 2)
-	for name, read := range map[string]func(){
-		"Between":  func() { w.Between(0, sim.Hour) },
-		"WindowAt": func() { w.WindowAt(0) },
-	} {
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
-					t.Errorf("%s on a sketch collector: recovered %v, want a panic naming it", name, r)
-				}
-			}()
-			read()
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Between") {
+				t.Errorf("Between on a sketch collector: recovered %v, want a panic naming it", r)
+			}
 		}()
-	}
+		w.Between(0, sim.Hour)
+	}()
 	if got := w.WindowCountAt(0); got != 2 {
 		t.Fatalf("WindowCountAt = %d", got)
 	}

@@ -226,15 +226,6 @@ func Deploy(eng *sim.Engine, spec services.AppSpec, topo Topology, strategy clus
 	return app, m, nil
 }
 
-// MustInstall is Install, panicking on topology errors.
-func MustInstall(eng *sim.Engine, app *services.App, topo Topology) *Map {
-	m, err := Install(eng, app, topo)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // link resolves the WAN edge between two regions: forward, reverse, default.
 func (m *Map) link(a, b string) Link {
 	if l, ok := m.wan[[2]string{a, b}]; ok {

@@ -7,10 +7,7 @@
 // ML data-collection runs of Table V) execute in seconds.
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Time is a point in simulated time, expressed as nanoseconds since the
 // start of the simulation. The zero Time is the simulation epoch.
@@ -52,11 +49,3 @@ func Seconds2Time(s float64) Time { return Time(s * float64(Second)) }
 
 // Millis2Time converts floating point milliseconds to a Time delta.
 func Millis2Time(ms float64) Time { return Time(ms * float64(Millisecond)) }
-
-// CheckNonNegative panics if t is negative; used to validate delays built
-// from arithmetic on measured values.
-func CheckNonNegative(t Time, what string) {
-	if t < 0 {
-		panic(fmt.Sprintf("sim: negative %s: %v", what, t))
-	}
-}
