@@ -61,7 +61,10 @@ func BenchmarkFig04Profiling(b *testing.B) {
 // less time).
 func BenchmarkTab05Exploration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunExploration(benchOpts())
+		r, err := experiments.RunExploration(benchOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, row := range r.Rows {
 			switch row.App {
 			case "social-network":
@@ -223,7 +226,9 @@ func BenchmarkControllerDecision(b *testing.B) {
 	}
 	gen := workload.New(eng, app, workload.Constant{Value: c.TotalRPS}, c.Mix)
 	gen.Start()
-	mgr.Attach(app)
+	if err := mgr.Attach(app); err != nil {
+		b.Fatal(err)
+	}
 	eng.RunUntil(5 * sim.Minute)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -257,8 +262,11 @@ func BenchmarkAblation(b *testing.B) {
 // (BENCH_corpus.json).
 func BenchmarkCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.RunCorpus(benchOpts(),
+		r, err := experiments.RunCorpus(benchOpts(),
 			experiments.CorpusParams{N: 5, Systems: []string{"ursa", "auto-a"}})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.Verdicts[0].WinRate*100, "win_rate_vs_auto_a_pct")
 		b.ReportMetric(r.Worst[0].ViolationRate*100, "ursa_worst_viol_pct")
 	}

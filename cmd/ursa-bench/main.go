@@ -99,7 +99,7 @@ func main() {
 
 	run("fig2", func() string { return experiments.RunBackpressure(opts).Render() })
 	run("fig4", func() string { return experiments.RunProfiling(opts).Render() })
-	run("tab5", func() string { return experiments.RunExploration(opts).Render() })
+	run("tab5", func() string { return rendered(experiments.RunExploration(opts)) })
 	run("fig9", func() string {
 		c, _ := experiments.AppCaseByName("social-network")
 		return rendered(experiments.RunAccuracy(opts, c, []string{
@@ -121,7 +121,10 @@ func main() {
 	run("figr1", func() string { return rendered(experiments.RunRegionFailover(opts)) })
 	run("figr2", func() string { return rendered(experiments.RunFollowTheSun(opts)) })
 	run("figc1", func() string {
-		r := experiments.RunCorpus(opts, experiments.CorpusParams{N: *corpusN, Systems: sysFilter})
+		r, err := experiments.RunCorpus(opts, experiments.CorpusParams{N: *corpusN, Systems: sysFilter})
+		if err != nil {
+			fatal(err)
+		}
 		if *corpusJSON != "" {
 			data, err := r.JSON()
 			if err != nil {

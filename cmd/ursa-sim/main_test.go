@@ -35,6 +35,7 @@ func TestScenarioInputErrors(t *testing.T) {
 		{"negative rps", []string{"-rps", "-1"}, "-rps -1"},
 		{"zero rps", []string{"-rps", "0"}, "-rps 0"},
 		{"negative retention", []string{"-retention", "-1"}, "-retention -1"},
+		{"infeasible spec SLA", []string{"-topology", "testdata/two_tier_1ms.json", "-system", "ursa", "-scale", "0.25"}, "no feasible LPR point"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -94,12 +94,16 @@ func main() {
 		}),
 		run("auto-a", func(app *ursa.App) func() {
 			as := ursa.NewAutoscaler(ursa.AutoscalerA())
-			as.Attach(app)
+			if err := as.Attach(app); err != nil {
+				log.Fatal(err)
+			}
 			return as.Detach
 		}),
 		run("auto-b", func(app *ursa.App) func() {
 			as := ursa.NewAutoscaler(ursa.AutoscalerB())
-			as.Attach(app)
+			if err := as.Attach(app); err != nil {
+				log.Fatal(err)
+			}
 			return as.Detach
 		}),
 	}

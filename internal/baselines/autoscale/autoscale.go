@@ -81,10 +81,11 @@ func New(cfg Config) *Autoscaler {
 func (a *Autoscaler) Name() string { return a.cfg.Name }
 
 // Attach implements baselines.Manager.
-func (a *Autoscaler) Attach(app *services.App) {
+func (a *Autoscaler) Attach(app *services.App) error {
 	a.app = app
 	a.lastAction = map[string]sim.Time{}
 	a.ticker = app.Eng.Every(a.cfg.Interval, a.tick)
+	return nil
 }
 
 // Detach implements baselines.Manager.

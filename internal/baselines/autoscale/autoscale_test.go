@@ -28,7 +28,9 @@ func TestScalesUpUnderLoad(t *testing.T) {
 	g := workload.New(eng, app, workload.Constant{Value: 150}, workload.Mix{"get": 1})
 	g.Start()
 	as := New(AutoA())
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(10 * sim.Minute)
 	as.Detach()
 	if got := app.Service("api").Replicas(); got < 2 {
@@ -49,7 +51,9 @@ func TestScalesDownWhenIdle(t *testing.T) {
 	g := workload.New(eng, app, workload.Constant{Value: 30}, workload.Mix{"get": 1})
 	g.Start()
 	as := New(AutoA())
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	// Auto-a's 5-minute cooldown allows roughly one scale-in per 5 min.
 	eng.RunUntil(30 * sim.Minute)
 	as.Detach()
@@ -65,7 +69,9 @@ func TestAutoBIsMoreConservative(t *testing.T) {
 		g := workload.New(eng, app, workload.Constant{Value: 120}, workload.Mix{"get": 1})
 		g.Start()
 		as := New(cfg)
-		as.Attach(app)
+		if err := as.Attach(app); err != nil {
+			t.Fatal(err)
+		}
 		eng.RunUntil(20 * sim.Minute)
 		as.Detach()
 		return app.AllocIntegralCPUSeconds()
@@ -81,7 +87,9 @@ func TestMinReplicasFloor(t *testing.T) {
 	app := scaleApp(eng, 3)
 	// No load at all: scale-in pressure forever.
 	as := New(Config{Name: "floor", Up: 0.6, Down: 0.3, MinReplicas: 2})
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(30 * sim.Minute)
 	as.Detach()
 	if got := app.Service("api").Replicas(); got != 2 {
@@ -97,7 +105,9 @@ func TestStepScalingProportional(t *testing.T) {
 	g := workload.New(eng, app, workload.Constant{Value: 400}, workload.Mix{"get": 1})
 	g.Start()
 	as := New(Config{Name: "prop", Up: 0.60, Down: 0.30, Interval: sim.Minute, Windows: 2})
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(2*sim.Minute + sim.Second)
 	as.Detach()
 	if got := app.Service("api").Replicas(); got < 3 {
@@ -112,7 +122,9 @@ func TestAutoACooldownLimitsActionRate(t *testing.T) {
 	g := workload.New(eng, app, workload.Constant{Value: 800}, workload.Mix{"get": 1})
 	g.Start()
 	as := New(AutoA())
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(16 * sim.Minute)
 	as.Detach()
 	got := app.Service("api").Replicas()
@@ -133,7 +145,9 @@ func TestRestoresWipedService(t *testing.T) {
 	eng := sim.NewEngine(1)
 	app := scaleApp(eng, 1)
 	as := New(AutoA())
-	as.Attach(app)
+	if err := as.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(4 * sim.Minute)
 	svc := app.Service("api")
 	if !svc.CrashReplica(0) {

@@ -5,8 +5,6 @@
 package baselines
 
 import (
-	"sort"
-
 	"ursa/internal/services"
 	"ursa/internal/sim"
 	"ursa/internal/stats"
@@ -17,8 +15,9 @@ import (
 type Manager interface {
 	// Name identifies the system ("ursa", "sinan", "firm", "auto-a", ...).
 	Name() string
-	// Attach starts the manager's control loop on a running app.
-	Attach(app *services.App)
+	// Attach starts the manager's control loop on a running app. It fails
+	// when the manager cannot deploy there (Ursa: no feasible model solve).
+	Attach(app *services.App) error
 	// Detach stops the control loop.
 	Detach()
 	// AvgDecisionMillis reports the mean wall-clock latency of one control
@@ -78,14 +77,4 @@ func Observe(app *services.App, from, to sim.Time) Observation {
 		}
 	}
 	return obs
-}
-
-// ServiceNamesSorted lists an observation's services deterministically.
-func (o Observation) ServiceNamesSorted() []string {
-	out := make([]string, 0, len(o.Services))
-	for n := range o.Services {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

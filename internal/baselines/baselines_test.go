@@ -73,14 +73,6 @@ func TestObserveDetectsViolation(t *testing.T) {
 	}
 }
 
-func TestServiceNamesSorted(t *testing.T) {
-	obs := Observation{Services: map[string]ServiceObs{"b": {}, "a": {}, "c": {}}}
-	names := obs.ServiceNamesSorted()
-	if len(names) != 3 || names[0] != "a" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 // TestObserveSketchMatchesExact pins Observe as telemetry-mode invariant: a
 // sketch-backed app must report the same classes as its exact-mode twin,
 // with latencies inside the sketch's relative-error band and the same

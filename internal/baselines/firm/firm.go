@@ -143,11 +143,12 @@ func (f *Firm) SetExplore(on bool) { f.explore = on }
 func (f *Firm) Name() string { return "firm" }
 
 // Attach implements baselines.Manager.
-func (f *Firm) Attach(app *services.App) {
+func (f *Firm) Attach(app *services.App) error {
 	f.app = app
 	f.prevState = map[string][]float64{}
 	f.prevAction = map[string]float64{}
 	f.ticker = app.Eng.Every(f.cfg.Window, f.tick)
+	return nil
 }
 
 // Detach implements baselines.Manager.
@@ -328,7 +329,9 @@ func Pretrain(f *Firm, mix workload.Mix, totalRPS float64, cfg PretrainConfig) P
 	save := f.cfg.Window
 	f.cfg.Window = cfg.Window
 	f.SetExplore(true)
-	f.Attach(app)
+	if err := f.Attach(app); err != nil {
+		panic(err)
+	}
 	windows := 0
 	var throttled *services.Service
 	anom := eng.Every(sim.Time(cfg.AnomalyEvery)*cfg.Window, func() {

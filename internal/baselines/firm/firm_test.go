@@ -57,7 +57,9 @@ func TestFirmControlsApp(t *testing.T) {
 	}
 	g := workload.New(eng, app, workload.Constant{Value: 150}, workload.Mix{"req": 1})
 	g.Start()
-	f.Attach(app)
+	if err := f.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	minR, maxR := 1<<30, 0
 	probe := eng.Every(sim.Minute, func() {
 		r := app.Service("api").Replicas()

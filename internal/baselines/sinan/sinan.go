@@ -204,9 +204,10 @@ func (s *Sinan) Clone() *Sinan {
 func (s *Sinan) Name() string { return "sinan" }
 
 // Attach implements baselines.Manager.
-func (s *Sinan) Attach(app *services.App) {
+func (s *Sinan) Attach(app *services.App) error {
 	s.app = app
 	s.ticker = app.Eng.Every(s.cfg.Window, s.tick)
+	return nil
 }
 
 // Detach implements baselines.Manager.

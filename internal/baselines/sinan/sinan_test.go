@@ -104,7 +104,9 @@ func TestSinanManagesLoad(t *testing.T) {
 	}
 	g := workload.New(eng, app, workload.Constant{Value: 260}, workload.Mix{"req": 1})
 	g.Start()
-	s.Attach(app)
+	if err := s.Attach(app); err != nil {
+		t.Fatal(err)
+	}
 	eng.RunUntil(30 * sim.Minute)
 	s.Detach()
 

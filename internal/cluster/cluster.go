@@ -313,21 +313,3 @@ func (c *Cluster) Release(p Placement) {
 		}
 	}
 }
-
-// FitsReplicas reports how many replicas of the given size the cluster
-// could still place on up nodes (a capacity planner's view; does not
-// allocate).
-func (c *Cluster) FitsReplicas(cpus float64) int {
-	n := 0
-	for _, node := range c.nodes {
-		if node.down {
-			continue
-		}
-		free := node.Free()
-		for free >= cpus-fitEps {
-			free -= cpus
-			n++
-		}
-	}
-	return n
-}

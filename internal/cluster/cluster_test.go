@@ -96,9 +96,6 @@ func TestPlaceSkipsDownNodes(t *testing.T) {
 	if got := c.AvailableCapacity(); got != 8 {
 		t.Fatalf("AvailableCapacity = %v, want 8", got)
 	}
-	if got := c.FitsReplicas(4); got != 1 { // only node-0's remaining 6 CPUs count
-		t.Fatalf("FitsReplicas(4) = %d, want 1", got)
-	}
 	c.NodeByName("node-1").SetDown(false)
 	p2, err := c.Place(2)
 	if err != nil {
@@ -120,16 +117,6 @@ func TestPlaceDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Place+Release allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
-func TestFitsReplicas(t *testing.T) {
-	c := New(BestFit, 10, 7)
-	if got := c.FitsReplicas(4); got != 3 { // 2 in node-0, 1 in node-1
-		t.Fatalf("FitsReplicas(4) = %d", got)
-	}
-	if got := c.FitsReplicas(12); got != 0 {
-		t.Fatalf("FitsReplicas(12) = %d", got)
 	}
 }
 

@@ -57,10 +57,9 @@ func (e ErrAdmission) Error() string {
 // fleet-scale control plane of ROADMAP item 1 (one resource manager
 // arbitrating a large cluster across applications, as in Alibaba's elastic
 // provisioning): admission control against model-certified demand, all
-// placement through the one indexed cluster, per-tenant SLA management by
-// each tenant's own manager, and node-failure eviction fan-out across
-// tenants. It is engine-driven and deterministic, like everything else in
-// the simulation.
+// placement through the one indexed cluster, and per-tenant SLA management
+// by each tenant's own manager. It is engine-driven and deterministic, like
+// everything else in the simulation.
 type Arbiter struct {
 	Eng     *sim.Engine
 	Cluster *cluster.Cluster
@@ -140,35 +139,6 @@ func (a *Arbiter) StartRefresh(interval sim.Time) {
 			}
 		}
 	})
-}
-
-// FailNode marks a node down and fans the eviction out to every tenant in
-// admission order. Each affected app's OnEviction hook (installed by its
-// manager's Run) re-solves against live loads and re-places the lost
-// replicas on the remaining capacity immediately. Returns the total
-// replicas evicted across tenants.
-func (a *Arbiter) FailNode(name string) int {
-	n := a.Cluster.NodeByName(name)
-	if n == nil {
-		panic(fmt.Sprintf("arbiter: unknown node %q", name))
-	}
-	n.SetDown(true)
-	evicted := 0
-	for _, t := range a.tenants {
-		for _, ev := range t.App.EvictNode(n) {
-			evicted += ev.Replicas
-		}
-	}
-	return evicted
-}
-
-// RecoverNode returns a failed node's capacity to the placement index.
-func (a *Arbiter) RecoverNode(name string) {
-	n := a.Cluster.NodeByName(name)
-	if n == nil {
-		panic(fmt.Sprintf("arbiter: unknown node %q", name))
-	}
-	n.SetDown(false)
 }
 
 // Tenants lists admitted tenants in admission order.

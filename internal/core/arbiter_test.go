@@ -114,53 +114,3 @@ func TestArbiterRejectsOverCommit(t *testing.T) {
 		t.Fatalf("rejected admission left residue: used=%v tenants=%d", cl.TotalUsed(), len(arb.Tenants()))
 	}
 }
-
-// TestArbiterFailNodeFanout drives the fleet crash path: a node failure fans
-// eviction out across tenants, each tenant's manager re-places its lost
-// replicas, and recovery returns the node's capacity to the index.
-func TestArbiterFailNodeFanout(t *testing.T) {
-	eng := sim.NewEngine(7)
-	cl := cluster.New(cluster.WorstFit, 16, 16, 16)
-	arb := NewArbiter(eng, cl)
-
-	for _, name := range []string{"tenant-00", "tenant-01"} {
-		ten, err := arb.Admit(arbiterTenantSpec(name, t))
-		if err != nil {
-			t.Fatalf("admit %s: %v", name, err)
-		}
-		workload.New(eng, ten.App, workload.Constant{Value: ten.TotalRPS}, ten.Mix).Start()
-	}
-	arb.StartRefresh(0)
-	eng.RunUntil(5 * sim.Minute)
-
-	replicas := func() int {
-		total := 0
-		for _, ten := range arb.Tenants() {
-			for _, name := range ten.App.ServiceNames() {
-				total += ten.App.Service(name).Replicas()
-			}
-		}
-		return total
-	}
-	before := replicas()
-	availBefore := cl.AvailableCapacity()
-	var evicted int
-	eng.Schedule(0, func() { evicted = arb.FailNode("node-0") })
-	eng.RunUntil(5*sim.Minute + sim.Second)
-	if evicted == 0 {
-		t.Fatal("node failure evicted nothing; test needs replicas on node-0")
-	}
-	if got := cl.AvailableCapacity(); got >= availBefore {
-		t.Fatalf("AvailableCapacity %v did not drop from %v after node failure", got, availBefore)
-	}
-	if after := replicas(); after < before {
-		t.Fatalf("arbiter did not re-place evicted capacity: %d replicas before, %d after (%d evicted)",
-			before, after, evicted)
-	}
-
-	arb.RecoverNode("node-0")
-	if got := cl.AvailableCapacity(); got != availBefore {
-		t.Fatalf("AvailableCapacity %v after recovery, want %v", got, availBefore)
-	}
-	arb.Stop()
-}

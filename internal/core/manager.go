@@ -331,14 +331,6 @@ func (m *Manager) Stop() {
 	}
 }
 
-// AvgOptimizeMillis reports the mean wall-clock model-solve latency.
-func (m *Manager) AvgOptimizeMillis() float64 {
-	if m.OptimizeCount == 0 {
-		return 0
-	}
-	return m.OptimizeSeconds / float64(m.OptimizeCount) * 1e3
-}
-
 // AvgDecisionMillis reports the mean wall-clock latency across every
 // control-plane decision the manager made: controller Ticks (via the
 // controller's DecisionCount/DecisionSeconds) together with model solves

@@ -69,7 +69,7 @@ func TestManagerEndToEnd(t *testing.T) {
 		t.Fatalf("SLA violation rate %.1f%% too high under Ursa", rate*100)
 	}
 
-	if mgr.OptimizeCount == 0 || mgr.AvgOptimizeMillis() <= 0 {
+	if mgr.OptimizeCount == 0 || mgr.OptimizeSeconds <= 0 {
 		t.Fatal("optimizer accounting missing")
 	}
 	if mgr.Controller.DecisionCount == 0 {

@@ -6,9 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"ursa/internal/lp"
-	"ursa/internal/mip"
 )
 
 // randomModel generates a seeded random optimization model: 1–5 services,
@@ -320,15 +317,15 @@ func TestExactMIPMatchesFastSolverRandom(t *testing.T) {
 			}
 			continue
 		}
-		got := mip.Solve(prob)
+		got := SolveMIP(prob)
 		if err != nil {
-			if got.Status == lp.Optimal {
+			if got.Status == Optimal {
 				t.Fatalf("seed %d: fast solver infeasible (%v) but MIP optimal obj=%v", seed, err, got.Obj)
 			}
 			checked++
 			continue
 		}
-		if got.Status != lp.Optimal {
+		if got.Status != Optimal {
 			t.Fatalf("seed %d: fast solver obj=%v but MIP status %v", seed, sol.TotalCPUs, got.Status)
 		}
 		if math.Abs(got.Obj-sol.TotalCPUs) > 1e-6 {

@@ -41,7 +41,10 @@ type AblationResult struct {
 func RunAblation(opts Options) (AblationResult, error) {
 	opts.defaults()
 	c, _ := AppCaseByName("social-network")
-	ex, profiles, _ := opts.ursaProfiles(c)
+	ex, profiles, _, err := opts.ursaProfiles(c)
+	if err != nil {
+		return AblationResult{}, err
+	}
 	loads := ex.ServiceClassLoads()
 	var res AblationResult
 
@@ -104,7 +107,7 @@ func RunAblation(opts Options) (AblationResult, error) {
 			return err
 		},
 	}
-	err := opts.forEachErr(len(tasks), func(i int) error { return tasks[i]() })
+	err = opts.forEachErr(len(tasks), func(i int) error { return tasks[i]() })
 	return res, err
 }
 
@@ -153,7 +156,7 @@ type boundaryController struct {
 
 func (b *boundaryController) Name() string { return "controller" }
 
-func (b *boundaryController) Attach(app *services.App) {
+func (b *boundaryController) Attach(app *services.App) error {
 	b.ctl = core.NewController(app, b.sol, b.cfg)
 	api := app.Service("api")
 	prev := api.Replicas()
@@ -164,6 +167,7 @@ func (b *boundaryController) Attach(app *services.App) {
 			prev = r
 		}
 	})
+	return nil
 }
 
 func (b *boundaryController) Detach() { b.tick.Stop() }

@@ -107,7 +107,10 @@ func RunComparison(opts Options, appFilter, systemFilter []string) (ComparisonRe
 	cells := make([]ComparisonCell, len(jobs))
 	err := opts.forEachErr(len(jobs), func(i int) error {
 		j := jobs[i]
-		mgr := opts.newManagerFor(j.c, j.system)
+		mgr, err := opts.newManagerFor(j.c, j.system)
+		if err != nil {
+			return fmt.Errorf("fig11: %s / %s: %w", j.c.Name, j.system, err)
+		}
 		opts.logf("fig11: %s / %s / %s", j.c.Name, j.scen.name, j.system)
 		r, err := Run(opts.deployment(j.c, mgr, j.scen.pattern, j.scen.mix, dur))
 		if err != nil {

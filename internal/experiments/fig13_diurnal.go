@@ -33,11 +33,15 @@ func RunDiurnal(opts Options) (DiurnalResult, error) {
 
 	dur := opts.scaleTime(48*sim.Minute, 16*sim.Minute)
 	res := DiurnalResult{App: c.Name, Services: map[string][]DiurnalPoint{}}
+	mgr, err := opts.newUrsa(c)
+	if err != nil {
+		return res, err
+	}
 	minute := 0
-	_, err := Run(Scenario{
+	_, err = Run(Scenario{
 		Seed: opts.Seed + 7, Spec: c.Spec, Mix: c.Mix,
 		Pattern: workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur},
-		Manager: opts.newUrsa(c), Duration: dur,
+		Manager: mgr, Duration: dur,
 		Probe: func(app *services.App, now sim.Time) {
 			for _, name := range tracked {
 				svc := app.Service(name)

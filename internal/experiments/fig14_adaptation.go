@@ -54,9 +54,11 @@ func RunAdaptation(opts Options) (AdaptationResult, error) {
 
 	// Full exploration on the original app, deploy, measure.
 	opts.logf("fig14: exploring original application")
-	ex, profiles, _ := opts.ursaProfiles(c)
+	ex, profiles, _, err := opts.ursaProfiles(c)
+	if err != nil {
+		return res, fmt.Errorf("fig14: %w", err)
+	}
 	dur := opts.scaleTime(20*sim.Minute, 16*sim.Minute)
-	var err error
 	res.Original, res.ViolationRateOriginal, err = opts.deployAndMeasureClass(c, profiles, topology.ObjectDetect, dur)
 	if err != nil {
 		return res, fmt.Errorf("fig14: original deployment: %w", err)

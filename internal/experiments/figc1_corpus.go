@@ -143,24 +143,18 @@ func GenerateCorpusCase(seed int64, i int) (AppCase, CorpusTopology, error) {
 // runCorpusCell deploys one (topology, system) cell. Generated topologies
 // are adversarial by design: a sampled SLA can be infeasible for a manager's
 // explored allocation space, and such a manager fails its deploy — Ursa
-// through Run's error, a baseline by panicking in Attach, which has no error
-// return. The corpus records either as a total SLA failure for the cell — a
-// finding, not a crash.
-func runCorpusCell(opts Options, c AppCase, system string, dur sim.Time) (cell CorpusCell) {
-	cell = CorpusCell{Topology: c.Name, System: system}
-	failed := func(why any) {
-		opts.logf("figc1: %s / %s: deploy failed: %v", c.Name, system, why)
-		cell.ViolationRate, cell.AvgCPUs, cell.DeployFailed = 1, 0, true
+// through its exploration or its model solve in Attach. The corpus records
+// either as a total SLA failure for the cell — a finding, not a crash.
+func runCorpusCell(opts Options, c AppCase, system string, dur sim.Time) CorpusCell {
+	cell := CorpusCell{Topology: c.Name, System: system}
+	mgr, err := opts.newManagerFor(c, system)
+	var r Result
+	if err == nil {
+		r, err = Run(opts.deployment(c, mgr, workload.Constant{Value: c.TotalRPS}, c.Mix, dur))
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			failed(r)
-		}
-	}()
-	mgr := opts.newManagerFor(c, system)
-	r, err := Run(opts.deployment(c, mgr, workload.Constant{Value: c.TotalRPS}, c.Mix, dur))
 	if err != nil {
-		failed(err)
+		opts.logf("figc1: %s / %s: deploy failed: %v", c.Name, system, err)
+		cell.ViolationRate, cell.AvgCPUs, cell.DeployFailed = 1, 0, true
 		return cell
 	}
 	cell.ViolationRate, cell.AvgCPUs = r.ViolationRate, r.AvgCPUs
@@ -169,7 +163,7 @@ func runCorpusCell(opts Options, c AppCase, system string, dur sim.Time) (cell C
 
 // RunCorpus executes the generated-topology grid: N topologies × systems,
 // each deployed at its generated nominal load for a scaled window.
-func RunCorpus(opts Options, params CorpusParams) CorpusResult {
+func RunCorpus(opts Options, params CorpusParams) (CorpusResult, error) {
 	opts.defaults()
 	params.defaults()
 	res := CorpusResult{N: params.N, Seed: opts.Seed, Scale: opts.Scale, Systems: params.Systems}
@@ -178,7 +172,7 @@ func RunCorpus(opts Options, params CorpusParams) CorpusResult {
 	for i := 0; i < params.N; i++ {
 		c, topo, err := GenerateCorpusCase(opts.Seed, i)
 		if err != nil {
-			panic(fmt.Sprintf("figc1: generate %d: %v", i, err))
+			return res, fmt.Errorf("figc1: generate %d: %w", i, err)
 		}
 		cases[i] = c
 		res.Topologies = append(res.Topologies, topo)
@@ -250,7 +244,7 @@ func RunCorpus(opts Options, params CorpusParams) CorpusResult {
 			res.Worst = append(res.Worst, w)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // JSON renders the result for BENCH_corpus.json.

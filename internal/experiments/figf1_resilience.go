@@ -76,9 +76,13 @@ func (o *Options) outageGrid(tag, outage string, target Fault, systems []string,
 	err = o.forEachErr(len(jobs), func(i int) error {
 		j := jobs[i]
 		o.logf("%s: %s / %s", tag, j.system, j.scen)
+		mgr, err := o.newManagerFor(c, j.system)
+		if err != nil {
+			return fmt.Errorf("%s: %s / %s: %w", tag, j.system, j.scen, err)
+		}
 		s := Scenario{
 			Seed: o.Seed + 1000, Spec: c.Spec, Mix: c.Mix,
-			Pattern: workload.Constant{Value: c.TotalRPS}, Manager: o.newManagerFor(c, j.system),
+			Pattern: workload.Constant{Value: c.TotalRPS}, Manager: mgr,
 			Resilience: resiliencePolicy(), Warm: warm, Duration: dur,
 		}
 		place(&s, j.system)

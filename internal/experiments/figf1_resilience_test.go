@@ -2,11 +2,18 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
+// sequentialResilience runs the figf1 grid once on one worker and shares the
+// result between the tests below.
+var sequentialResilience = sync.OnceValues(func() (ResilienceResult, error) {
+	return RunResilience(sequential())
+})
+
 func TestResilienceShapes(t *testing.T) {
-	r, err := RunResilience(quick())
+	r, err := sequentialResilience()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,22 +50,16 @@ func TestResilienceShapes(t *testing.T) {
 	}
 }
 
-// TestResilienceParallelismInvariant asserts the figf1 grid renders
-// byte-identically at any worker-pool size — the determinism contract every
-// experiment in this package keeps.
+// TestResilienceParallelismInvariant pins the sequential figf1 grid to the
+// golden that TestZeroRegionResilienceByteIdentical asserts at Parallelism 4:
+// the grid renders byte-identically at any worker-pool size, the determinism
+// contract every experiment in this package keeps.
 func TestResilienceParallelismInvariant(t *testing.T) {
-	seq := quick()
-	seq.Parallelism = 1
-	par := quick()
-	par.Parallelism = 4
-	a, errA := RunResilience(seq)
-	b, errB := RunResilience(par)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
+	r, err := sequentialResilience()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a, b := a.Render(), b.Render(); a != b {
-		t.Fatalf("output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
+	assertGolden(t, "testdata/figf1_zero_region.golden", r.Render())
 }
 
 // BenchmarkResilience is the `make bench-resilience` smoke target: one full

@@ -6,7 +6,7 @@ import (
 )
 
 func TestRegionFailoverShapes(t *testing.T) {
-	r, err := RunRegionFailover(quick())
+	r, err := RunRegionFailover(sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,14 @@ func TestRegionFailoverShapes(t *testing.T) {
 }
 
 func TestFollowTheSunShapes(t *testing.T) {
-	r, err := RunFollowTheSun(quick())
+	r, err := RunFollowTheSun(sequential())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(r.Cells) != len(SunSystems())*len(sunRegions()) {
 		t.Fatalf("cells = %d", len(r.Cells))
 	}
+	assertGolden(t, "testdata/figr2.golden", r.Render())
 	for _, system := range SunSystems() {
 		for _, reg := range sunRegions() {
 			c, ok := r.Cell(system, reg)
@@ -118,34 +119,24 @@ func TestFollowTheSunShapes(t *testing.T) {
 
 // TestRegionParallelismInvariant asserts both region grids render
 // byte-identically at any worker-pool size — the determinism contract every
-// experiment in this package keeps.
+// experiment in this package keeps. The Shapes tests pin the sequential runs
+// to the same goldens.
 func TestRegionParallelismInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("duplicate figr1 grid in -short mode")
+		t.Skip("second figr1 and figr2 grids in -short mode")
 	}
-	seq := quick()
-	seq.Parallelism = 1
 	par := quick()
 	par.Parallelism = 4
-	a, errA := RunRegionFailover(seq)
-	b, errB := RunRegionFailover(par)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if a, b := a.Render(), b.Render(); a != b {
-		t.Fatalf("figr1 output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
-	sunSeq, err := RunFollowTheSun(seq)
+	r1, err := RunRegionFailover(par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sunPar, err := RunFollowTheSun(par)
+	assertGolden(t, "testdata/figr1.golden", r1.Render())
+	r2, err := RunFollowTheSun(par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := sunSeq.Render(), sunPar.Render(); a != b {
-		t.Fatalf("figr2 output differs across parallelism:\n--- seq ---\n%s--- par ---\n%s", a, b)
-	}
+	assertGolden(t, "testdata/figr2.golden", r2.Render())
 }
 
 // BenchmarkRegion is the `make bench-region` smoke target: one small-scale

@@ -127,17 +127,22 @@ func (o *Options) runSunSystem(c AppCase, system string, dur sim.Time) ([]SunCel
 		if system == "ursa" {
 			// Share the one cached exploration across tenants: the profiles
 			// depend on the spec's services, not the tenant name.
-			_, profiles, _ := o.ursaProfiles(c)
+			_, profiles, _, err := o.ursaProfiles(c)
+			if err != nil {
+				return nil, fmt.Errorf("figr2: %w", err)
+			}
 			mgr = &ursaAdapter{mgr: core.NewManager(spec, profiles), mix: c.Mix, totalRPS: c.TotalRPS}
-		} else {
-			mgr = o.newManagerFor(c, system)
+		} else if mgr, err = o.newManagerFor(c, system); err != nil {
+			return nil, fmt.Errorf("figr2: %w", err)
 		}
 		pattern := workload.Shift{
 			Inner:  workload.Diurnal{Base: c.TotalRPS * 0.5, Peak: c.TotalRPS * 1.5, Period: dur},
 			Offset: sim.Time(i) * (dur / sim.Time(len(regions))),
 		}
 		workload.New(eng, app, pattern, c.Mix).Start()
-		mgr.Attach(app)
+		if err := mgr.Attach(app); err != nil {
+			return nil, fmt.Errorf("figr2: %s attach: %w", home, err)
+		}
 		tenants[i] = tenant{app: app, m: m, mgr: mgr}
 	}
 

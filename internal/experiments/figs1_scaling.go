@@ -111,18 +111,16 @@ func runScalingCell(opts Options, nodes, tenants int, dur sim.Time) ScalingCell 
 
 	// Admit the fleet in tenant order. A tenant can fail admission for
 	// capacity (ErrAdmission), an infeasible generated SLA (solve error), or
-	// an exploration panic — all count as rejected, and the fleet runs on.
-	admit := func(i int) (ten *core.Tenant, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("tenant %02d: %v", i, r)
-			}
-		}()
+	// a failed exploration — all count as rejected, and the fleet runs on.
+	admit := func(i int) (*core.Tenant, error) {
 		c, err := GenerateFleetCase(opts.Seed, i)
 		if err != nil {
 			return nil, err
 		}
-		_, profiles, _ := opts.ursaProfiles(c)
+		_, profiles, _, err := opts.ursaProfiles(c)
+		if err != nil {
+			return nil, err
+		}
 		return arb.Admit(core.TenantSpec{
 			Name:     c.Name,
 			Spec:     c.Spec,

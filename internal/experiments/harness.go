@@ -148,15 +148,17 @@ type profileCacheEntry struct {
 	ex       *core.Explorer
 	profiles map[string]*core.Profile
 	sum      core.ExplorationSummary
+	err      error
 }
 
 // ursaProfiles runs backpressure profiling + LPR exploration for an app and
-// returns the explorer, profiles and Table V accounting. The profiles map is
-// a deep copy: deployments mutate profile points in place (e.g. by sorting),
-// and handing out the cached map by reference would let one run pollute
-// every later cache hit. The explorer is shared and must be treated as
-// read-only after exploration.
-func (o *Options) ursaProfiles(c AppCase) (*core.Explorer, map[string]*core.Profile, core.ExplorationSummary) {
+// returns the explorer, profiles and Table V accounting, or the exploration
+// error (a spec whose SLA no explored allocation meets). The error is cached
+// like the profiles. The profiles map is a deep copy: deployments mutate
+// profile points in place (e.g. by sorting), and handing out the cached map
+// by reference would let one run pollute every later cache hit. The explorer
+// is shared and must be treated as read-only after exploration.
+func (o *Options) ursaProfiles(c AppCase) (*core.Explorer, map[string]*core.Profile, core.ExplorationSummary, error) {
 	key := fmt.Sprintf("%s/%d/%.3f", c.Name, o.Seed, o.Scale)
 	profileMu.Lock()
 	e := profileCache[key]
@@ -165,11 +167,14 @@ func (o *Options) ursaProfiles(c AppCase) (*core.Explorer, map[string]*core.Prof
 		profileCache[key] = e
 	}
 	profileMu.Unlock()
-	e.once.Do(func() { e.ex, e.profiles, e.sum = o.ursaProfilesUncached(c) })
-	return e.ex, core.CloneProfiles(e.profiles), e.sum
+	e.once.Do(func() { e.ex, e.profiles, e.sum, e.err = o.ursaProfilesUncached(c) })
+	if e.err != nil {
+		return nil, nil, core.ExplorationSummary{}, e.err
+	}
+	return e.ex, core.CloneProfiles(e.profiles), e.sum, nil
 }
 
-func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*core.Profile, core.ExplorationSummary) {
+func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*core.Profile, core.ExplorationSummary, error) {
 	ex := &core.Explorer{
 		Spec:       c.Spec,
 		Mix:        c.Mix,
@@ -203,9 +208,9 @@ func (o *Options) ursaProfilesUncached(c AppCase) (*core.Explorer, map[string]*c
 	}
 	profiles, sum, err := ex.ExploreAll(o.exploreConfig())
 	if err != nil {
-		panic(fmt.Sprintf("exploration for %s failed: %v", c.Name, err))
+		return nil, nil, core.ExplorationSummary{}, fmt.Errorf("exploration for %s failed: %w", c.Name, err)
 	}
-	return ex, profiles, sum
+	return ex, profiles, sum, nil
 }
 
 // ursaManager builds a ready-to-attach Ursa manager for an app case.
@@ -217,20 +222,13 @@ type ursaAdapter struct {
 
 func (u *ursaAdapter) Name() string { return "ursa" }
 
-// Deploy solves the model and starts Ursa's control loop on app; Run
-// returns a failed solve as an error.
-func (u *ursaAdapter) Deploy(app *services.App) error {
+// Attach solves the model and starts Ursa's control loop on app; a failed
+// solve is returned as an error.
+func (u *ursaAdapter) Attach(app *services.App) error {
 	if err := u.mgr.Run(app, u.mix, u.totalRPS, core.ControllerConfig{}, core.AnomalyConfig{}); err != nil {
 		return fmt.Errorf("ursa deploy failed: %w", err)
 	}
 	return nil
-}
-
-// Attach is Deploy for callers outside Run, which have no error path.
-func (u *ursaAdapter) Attach(app *services.App) {
-	if err := u.Deploy(app); err != nil {
-		panic(err)
-	}
 }
 func (u *ursaAdapter) Detach() { u.mgr.Stop() }
 func (u *ursaAdapter) AvgDecisionMillis() float64 {
@@ -246,9 +244,12 @@ func (u *ursaAdapter) AvgDecisionMillis() float64 {
 var _ baselines.Manager = (*ursaAdapter)(nil)
 
 // newUrsa prepares Ursa (exploration + model) for a case.
-func (o *Options) newUrsa(c AppCase) *ursaAdapter {
-	_, profiles, _ := o.ursaProfiles(c)
-	return o.ursaWith(c, profiles)
+func (o *Options) newUrsa(c AppCase) (*ursaAdapter, error) {
+	_, profiles, _, err := o.ursaProfiles(c)
+	if err != nil {
+		return nil, err
+	}
+	return o.ursaWith(c, profiles), nil
 }
 
 // ursaWith builds Ursa for a case from already-explored profiles.
@@ -301,38 +302,47 @@ func (o *Options) newFirm(c AppCase) *firm.Firm {
 // cached per app and deduplicated; the returned manager is always pristine,
 // so cells can run in any order — or concurrently — with identical results.
 // Because construction is lazy, systems excluded by a filter are never
-// prepared at all.
-func (o *Options) newManagerFor(c AppCase, system string) baselines.Manager {
+// prepared at all. Ursa's preparation fails when exploration finds no
+// feasible allocation for the case.
+func (o *Options) newManagerFor(c AppCase, system string) (baselines.Manager, error) {
 	switch system {
 	case "ursa":
-		return o.newUrsa(c)
+		u, err := o.newUrsa(c)
+		if err != nil {
+			return nil, err
+		}
+		return u, nil
 	case "sinan":
-		return o.newSinan(c)
+		return o.newSinan(c), nil
 	case "firm":
-		return o.newFirm(c)
+		return o.newFirm(c), nil
 	case "auto-a":
-		return autoscaleA()
+		return autoscaleA(), nil
 	case "auto-b":
-		return autoscaleB()
+		return autoscaleB(), nil
 	}
-	panic(fmt.Sprintf("experiments: unknown system %q", system))
+	return nil, fmt.Errorf("unknown system %q", system)
 }
 
 // UrsaProfiles exposes the exploration pipeline (profiling + Algorithm 1)
-// for the CLI tools.
+// for the CLI tools and the end-to-end benchmark, which explore only the
+// built-in apps and generated fleet tenants. It panics on an exploration
+// error; NewManager returns that error instead.
 func (o *Options) UrsaProfiles(c AppCase) (*core.Explorer, map[string]*core.Profile, core.ExplorationSummary) {
 	o.defaults()
-	return o.ursaProfiles(c)
+	ex, profiles, sum, err := o.ursaProfiles(c)
+	if err != nil {
+		panic(err)
+	}
+	return ex, profiles, sum
 }
 
 // NewManager prepares a fresh manager of one of Systems() for a case:
 // exploration for Ursa, data collection and training for Sinan and Firm.
+// It returns an unknown system or a failed exploration as an error.
 func (o *Options) NewManager(c AppCase, system string) (baselines.Manager, error) {
 	o.defaults()
-	if !contains(Systems(), system) {
-		return nil, fmt.Errorf("unknown system %q", system)
-	}
-	return o.newManagerFor(c, system), nil
+	return o.newManagerFor(c, system)
 }
 
 // autoscaleA and autoscaleB build the two autoscaling baselines.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -80,7 +81,11 @@ func TestProfileCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			o := opts
-			_, p, _ := o.ursaProfiles(c)
+			_, p, _, err := o.ursaProfiles(c)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			// Mutate the returned copy aggressively: later callers must not
 			// see it.
 			first := map[string]float64{}
@@ -115,7 +120,10 @@ func TestProfileCacheConcurrent(t *testing.T) {
 	}
 	// And a fresh fetch after all that vandalism is still pristine.
 	o := opts
-	_, p, _ := o.ursaProfiles(c)
+	_, p, _, err := o.ursaProfiles(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, prof := range p {
 		for i := range prof.Points {
 			for cls, v := range prof.Points[i].LPR {
@@ -172,9 +180,9 @@ func TestComparisonFilterSkipsTraining(t *testing.T) {
 	}
 
 	// Drive the lazy construction path directly: only auto-a is requested.
-	mgr := opts.newManagerFor(c, "auto-a")
-	if mgr == nil || mgr.Name() != "auto-a" {
-		t.Fatalf("newManagerFor returned %v", mgr)
+	mgr, err := opts.newManagerFor(c, "auto-a")
+	if err != nil || mgr.Name() != "auto-a" {
+		t.Fatalf("newManagerFor returned %v, %v", mgr, err)
 	}
 	protoMu.Lock()
 	defer protoMu.Unlock()
@@ -186,6 +194,25 @@ func TestComparisonFilterSkipsTraining(t *testing.T) {
 	}
 }
 
+// TestExplorationErrorReturned checks that a case whose SLA no allocation
+// meets is an error, not a panic: NewManager returns the exploration error
+// (again on a second call, served by the exploration cache), and a corpus
+// cell records the failed deploy.
+func TestExplorationErrorReturned(t *testing.T) {
+	c := poolCase("pool-infeasible-app")
+	c.Spec.Classes[0].SLAMillis = 1
+	opts := Options{Seed: 1, Scale: 0.25}
+	for i := 0; i < 2; i++ {
+		if _, err := opts.NewManager(c, "ursa"); err == nil || !strings.Contains(err.Error(), "no feasible LPR point") {
+			t.Fatalf("call %d: NewManager error = %v, want no feasible LPR point", i, err)
+		}
+	}
+	cell := runCorpusCell(opts, c, "ursa", 4*sim.Minute)
+	if !cell.DeployFailed || cell.ViolationRate != 1 {
+		t.Fatalf("corpus cell = %+v, want a failed deploy", cell)
+	}
+}
+
 // TestFreshManagersPerCell asserts clone-based construction: two managers
 // for the same (app, system) must be distinct instances, so no deployment
 // can leak warm state into the next.
@@ -194,8 +221,11 @@ func TestFreshManagersPerCell(t *testing.T) {
 	opts := Options{Seed: 1, Scale: 0.25}
 	opts.defaults()
 	for _, sys := range []string{"ursa", "auto-a", "auto-b"} {
-		a := opts.newManagerFor(c, sys)
-		b := opts.newManagerFor(c, sys)
+		a, errA := opts.newManagerFor(c, sys)
+		b, errB := opts.newManagerFor(c, sys)
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v / %v", sys, errA, errB)
+		}
 		if a == b {
 			t.Errorf("%s: newManagerFor returned the same instance twice", sys)
 		}

@@ -78,20 +78,6 @@ type Result struct {
 	DecisionMs float64
 }
 
-// deployer is a manager whose deployment can fail (Ursa: no feasible model
-// solve); attach returns that failure instead of panicking.
-type deployer interface {
-	Deploy(app *services.App) error
-}
-
-func attach(mgr baselines.Manager, app *services.App) error {
-	if d, ok := mgr.(deployer); ok {
-		return d.Deploy(app)
-	}
-	mgr.Attach(app)
-	return nil
-}
-
 // Validate reports a fault whose node or region the scenario lacks.
 func (s Scenario) Validate() error {
 	f := s.Fault
@@ -153,7 +139,7 @@ func Run(s Scenario) (Result, error) {
 	}
 	workload.New(eng, app, s.Pattern, s.Mix).Start()
 	if s.Manager != nil {
-		if err := attach(s.Manager, app); err != nil {
+		if err := s.Manager.Attach(app); err != nil {
 			return Result{}, err
 		}
 	}

@@ -33,7 +33,7 @@ type ExplorationResult struct {
 // RunExploration measures exploration overhead for Ursa vs the ML baselines
 // on the three main applications (the paper's Table V uses social, media and
 // video).
-func RunExploration(opts Options) ExplorationResult {
+func RunExploration(opts Options) (ExplorationResult, error) {
 	opts.defaults()
 	mlTarget := 10000
 	var apps []AppCase
@@ -46,26 +46,29 @@ func RunExploration(opts Options) ExplorationResult {
 	// Each app's row (exploration + ML collection + pretraining) is
 	// independent: fan the rows over the worker pool and keep table order.
 	rows := make([]ExplorationRow, len(apps))
-	opts.forEach(len(apps), func(i int) {
-		rows[i] = opts.explorationRow(apps[i], mlTarget)
+	err := opts.forEachErr(len(apps), func(i int) (err error) {
+		rows[i], err = opts.explorationRow(apps[i], mlTarget)
+		return err
 	})
-	return ExplorationResult{Rows: rows, MLTargetSamples: mlTarget}
+	return ExplorationResult{Rows: rows, MLTargetSamples: mlTarget}, err
 }
 
 // explorationRow measures one application's Table V entry.
-func (o *Options) explorationRow(c AppCase, mlTarget int) ExplorationRow {
+func (o *Options) explorationRow(c AppCase, mlTarget int) (ExplorationRow, error) {
 	o.logf("tab5: exploring %s with Ursa", c.Name)
-	_, profiles, sum := o.ursaProfiles(c)
+	_, profiles, sum, err := o.ursaProfiles(c)
+	if err != nil {
+		return ExplorationRow{}, fmt.Errorf("tab5: %w", err)
+	}
 
 	// ML collection: run a scaled number of windows to exercise the
 	// real collection code, then account at the paper's 10k × 1 min.
 	o.logf("tab5: collecting ML samples for %s", c.Name)
-	collected := sinan.Collect(c.Spec, c.Mix, c.TotalRPS, sinan.CollectConfig{
+	sinan.Collect(c.Spec, c.Mix, c.TotalRPS, sinan.CollectConfig{
 		Samples: o.scaleInt(400, 100),
 		Window:  exploreWindow,
 		Seed:    o.Seed,
 	})
-	_ = collected
 	f := firm.New(c.Spec, specServiceNames(c.Spec), c.TotalRPS*2, firm.Config{Seed: o.Seed})
 	firm.Pretrain(f, c.Mix, c.TotalRPS, firm.PretrainConfig{
 		Samples: o.scaleInt(200, 60),
@@ -99,7 +102,7 @@ func (o *Options) explorationRow(c AppCase, mlTarget int) ExplorationRow {
 	if row.UrsaHours > 0 {
 		row.TimeRatio = row.MLHours / row.UrsaHours
 	}
-	return row
+	return row, nil
 }
 
 // Render prints Table V.

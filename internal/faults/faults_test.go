@@ -70,6 +70,13 @@ func TestNodeFailEvictsAndRecovers(t *testing.T) {
 	if n0.Used() != 5 {
 		t.Fatalf("node-0 used = %v, want 5", n0.Used())
 	}
+	// The eviction reaches a manager through the app's OnEviction hook.
+	hooked := 0
+	app.OnEviction = func(evs []services.Eviction) {
+		for _, ev := range evs {
+			hooked += ev.Replicas
+		}
+	}
 	in := New(eng, app, cl, Schedule{
 		NodeFails: []NodeFail{{Node: "node-0", At: 10 * sim.Millisecond, For: 100 * sim.Millisecond}},
 	})
@@ -79,8 +86,8 @@ func TestNodeFailEvictsAndRecovers(t *testing.T) {
 	if !n0.Down() {
 		t.Fatal("node-0 not down mid-failure")
 	}
-	if in.Evicted != 2 {
-		t.Fatalf("evicted = %d, want 2", in.Evicted)
+	if in.Evicted != 2 || hooked != 2 {
+		t.Fatalf("evicted = %d, OnEviction saw %d, want 2 each", in.Evicted, hooked)
 	}
 	if n0.Used() != 0 {
 		t.Fatalf("node-0 still holds %v CPUs", n0.Used())

@@ -741,13 +741,3 @@ func (g *Gauge) IntegralUntil(t sim.Time) float64 {
 	}
 	return g.integral + g.value*(t-g.last).Seconds()
 }
-
-// AverageOver reports the time-average of the gauge over [from, t] given
-// the integral at the `from` instant (callers snapshot IntegralUntil(from)).
-func (g *Gauge) AverageOver(fromIntegral float64, from, to sim.Time) float64 {
-	d := (to - from).Seconds()
-	if d <= 0 {
-		return g.value
-	}
-	return (g.IntegralUntil(to) - fromIntegral) / d
-}

@@ -126,16 +126,6 @@ func TestGaugeIntegral(t *testing.T) {
 	}
 }
 
-func TestGaugeAverageOver(t *testing.T) {
-	g := NewGauge(0, 1)
-	snap := g.IntegralUntil(0)
-	g.Set(5*sim.Second, 3)
-	avg := g.AverageOver(snap, 0, 10*sim.Second)
-	if math.Abs(avg-2) > 1e-9 { // 1 for 5s, 3 for 5s → avg 2
-		t.Fatalf("AverageOver = %v, want 2", avg)
-	}
-}
-
 func TestGaugeBackwardsPanics(t *testing.T) {
 	g := NewGauge(sim.Minute, 1)
 	defer func() {

@@ -1,6 +1,6 @@
-// Package gbt implements gradient-boosted regression trees (CART base
-// learners, squared or logistic loss) from scratch — the "boosted trees"
-// component of Sinan's SLA-violation predictor.
+// Package gbt implements gradient-boosted trees (CART regression-tree base
+// learners fitted to the logistic-loss gradient) from scratch — the "boosted
+// trees" component of Sinan's SLA-violation predictor.
 package gbt
 
 import (
@@ -116,58 +116,6 @@ func fitTree(X [][]float64, y []float64, idx []int, depth int, cfg Config) *node
 	}
 }
 
-// Regressor is a squared-loss gradient-boosted ensemble.
-type Regressor struct {
-	cfg   Config
-	base  float64
-	trees []*node
-}
-
-// TrainRegressor fits the ensemble to (X, y).
-func TrainRegressor(X [][]float64, y []float64, cfg Config) *Regressor {
-	cfg.defaults()
-	if len(X) == 0 || len(X) != len(y) {
-		panic("gbt: bad training data")
-	}
-	r := &Regressor{cfg: cfg}
-	for _, v := range y {
-		r.base += v
-	}
-	r.base /= float64(len(y))
-	pred := make([]float64, len(y))
-	for i := range pred {
-		pred[i] = r.base
-	}
-	idx := make([]int, len(y))
-	for i := range idx {
-		idx[i] = i
-	}
-	resid := make([]float64, len(y))
-	for t := 0; t < cfg.Trees; t++ {
-		for i := range resid {
-			resid[i] = y[i] - pred[i]
-		}
-		tree := fitTree(X, resid, idx, 0, cfg)
-		r.trees = append(r.trees, tree)
-		for i := range pred {
-			pred[i] += cfg.LearningRate * tree.predict(X[i])
-		}
-	}
-	return r
-}
-
-// Predict evaluates one example.
-func (r *Regressor) Predict(x []float64) float64 {
-	out := r.base
-	for _, t := range r.trees {
-		out += r.cfg.LearningRate * t.predict(x)
-	}
-	return out
-}
-
-// NumTrees reports the ensemble size.
-func (r *Regressor) NumTrees() int { return len(r.trees) }
-
 // Classifier is a logistic-loss gradient-boosted ensemble for binary labels.
 type Classifier struct {
 	cfg   Config
@@ -217,8 +165,5 @@ func (c *Classifier) PredictProb(x []float64) float64 {
 	}
 	return sigmoid(s)
 }
-
-// NumTrees reports the ensemble size.
-func (c *Classifier) NumTrees() int { return len(c.trees) }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -1,55 +1,9 @@
 package gbt
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
-
-func TestRegressorLearnsStepFunction(t *testing.T) {
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 200; i++ {
-		v := float64(i) / 200
-		X = append(X, []float64{v})
-		if v < 0.5 {
-			y = append(y, 1)
-		} else {
-			y = append(y, 5)
-		}
-	}
-	r := TrainRegressor(X, y, Config{Trees: 30, Depth: 2})
-	if got := r.Predict([]float64{0.2}); math.Abs(got-1) > 0.3 {
-		t.Fatalf("low side = %v", got)
-	}
-	if got := r.Predict([]float64{0.8}); math.Abs(got-5) > 0.3 {
-		t.Fatalf("high side = %v", got)
-	}
-	if r.NumTrees() != 30 {
-		t.Fatalf("trees = %d", r.NumTrees())
-	}
-}
-
-func TestRegressorLearnsNonlinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var X [][]float64
-	var y []float64
-	for i := 0; i < 500; i++ {
-		a, b := rng.Float64()*2-1, rng.Float64()*2-1
-		X = append(X, []float64{a, b})
-		y = append(y, a*a+b)
-	}
-	r := TrainRegressor(X, y, Config{Trees: 120, Depth: 4, LearningRate: 0.15})
-	sse := 0.0
-	for i := 0; i < 100; i++ {
-		a, b := rng.Float64()*2-1, rng.Float64()*2-1
-		d := r.Predict([]float64{a, b}) - (a*a + b)
-		sse += d * d
-	}
-	if rmse := math.Sqrt(sse / 100); rmse > 0.25 {
-		t.Fatalf("RMSE = %v", rmse)
-	}
-}
 
 func TestClassifierSeparable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -99,10 +53,16 @@ func TestClassifierProbabilitiesInRange(t *testing.T) {
 
 func TestConstantTargetGivesConstantPrediction(t *testing.T) {
 	X := [][]float64{{1}, {2}, {3}, {4}}
-	y := []float64{7, 7, 7, 7}
-	r := TrainRegressor(X, y, Config{Trees: 5, Depth: 2, MinLeaf: 1})
-	if got := r.Predict([]float64{2.5}); math.Abs(got-7) > 1e-9 {
-		t.Fatalf("constant prediction = %v", got)
+	y := []float64{1, 1, 1, 1}
+	c := TrainClassifier(X, y, Config{Trees: 5, Depth: 2, MinLeaf: 1})
+	want := c.PredictProb([]float64{1})
+	if want < 0.99 {
+		t.Fatalf("all-positive prediction = %v", want)
+	}
+	for _, x := range []float64{2.5, 4, 10} {
+		if got := c.PredictProb([]float64{x}); got != want {
+			t.Fatalf("prediction at %v = %v, want constant %v", x, got, want)
+		}
 	}
 }
 
@@ -112,5 +72,5 @@ func TestBadInputPanics(t *testing.T) {
 			t.Fatal("no panic on empty data")
 		}
 	}()
-	TrainRegressor(nil, nil, Config{})
+	TrainClassifier(nil, nil, Config{})
 }

@@ -20,7 +20,7 @@
 // foreign region keeps its service's home coordinates, a deliberate
 // approximation that keeps the edge latency a pure function of the service
 // pair. An inner injector (e.g. internal/faults net rules) chains behind the
-// WAN hook: its delay adds, its drops drop. Install the region map after
+// WAN hook: its delay adds, its drops drop. Bind the region map after
 // faults.Start so the chain composes.
 package region
 
@@ -107,8 +107,8 @@ type Map struct {
 // map's placement state — home bindings, spill order, WAN table — without
 // touching any app. The returned Map can serve PlaceReplica immediately, so
 // it can be handed to services.NewAppWith as AppOptions.Placer and then
-// completed with Bind once the app exists. New rejects an empty topology;
-// callers wanting the install-nothing behaviour use Install.
+// completed with Bind once the app exists. New rejects an empty topology: a
+// zero-region run simply builds no Map.
 func New(topo Topology, cl *cluster.Cluster) (*Map, error) {
 	if topo.Empty() {
 		return nil, fmt.Errorf("region: empty topology")
@@ -183,26 +183,6 @@ func (m *Map) Bind(eng *sim.Engine, app *services.App) {
 	m.inner = app.Net
 	app.Net = m
 	app.Placer = m
-}
-
-// Install wires the topology into an already-deployed app: New + Bind.
-// Installing an empty topology is a no-op and returns (nil, nil) — the
-// zero-region world stays byte-identical to a build without this package.
-// Replicas placed before Install keep their nodes; use Deploy (or
-// NewAppWith + New/Bind) when deployment-time replicas must pin too.
-func Install(eng *sim.Engine, app *services.App, topo Topology) (*Map, error) {
-	if topo.Empty() {
-		return nil, nil
-	}
-	if app.Cluster == nil {
-		return nil, fmt.Errorf("region: app %q has no bound cluster", app.Spec.Name)
-	}
-	m, err := New(topo, app.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	m.Bind(eng, app)
-	return m, nil
 }
 
 // Deploy builds the grouped cluster for the topology, deploys the app with

@@ -52,21 +52,6 @@ func twoRegionTopo() Topology {
 	}
 }
 
-func TestInstallEmptyTopologyIsNoOp(t *testing.T) {
-	eng := sim.NewEngine(1)
-	app := services.MustNewApp(eng, geoSpec())
-	m, err := Install(eng, app, Topology{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != nil {
-		t.Fatal("empty topology returned a live map")
-	}
-	if app.Net != nil || app.Placer != nil {
-		t.Fatal("empty topology installed hooks")
-	}
-}
-
 func TestDeployPinsInitialReplicasToHomeRegions(t *testing.T) {
 	eng := sim.NewEngine(1)
 	app, m, err := Deploy(eng, geoSpec(), twoRegionTopo(), cluster.BestFit, false)
@@ -229,9 +214,15 @@ func TestFailRegionEvictsAndRecoverReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The eviction reaches a manager through the app's OnEviction hook.
+	var hooked []services.Eviction
+	app.OnEviction = func(evs []services.Eviction) { hooked = append(hooked, evs...) }
 	evicted := m.FailRegion("eu-west")
 	if evicted != 1 {
 		t.Fatalf("evicted = %d, want 1 (backend)", evicted)
+	}
+	if len(hooked) != 1 || hooked[0].Service != "backend" || hooked[0].Replicas != 1 {
+		t.Fatalf("OnEviction saw %+v, want one backend replica", hooked)
 	}
 	if !m.Failed("eu-west") {
 		t.Fatal("region not marked failed")

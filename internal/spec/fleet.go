@@ -7,14 +7,12 @@ import "fmt"
 // master seed.
 const fleetSeedStride = 2000003
 
-// FleetParams parameterises the multi-tenant fleet generator: N independent
+// FleetParams parameterises the multi-tenant fleet generator: independent
 // tenant applications drawn from the same seeded topology generator, sized
 // for coexistence on one shared cluster.
 type FleetParams struct {
 	// Prefix names tenants "<Prefix>-NN" (default "tenant").
 	Prefix string
-	// N is the tenant count (required for GenerateFleet).
-	N int
 	// Seed drives the per-tenant generator streams.
 	Seed int64
 }
@@ -26,8 +24,9 @@ func (p *FleetParams) defaults() {
 }
 
 // FleetMember builds tenant i of the fleet. Member i depends only on
-// (Prefix, Seed, i) — never on N — so a 4-tenant fleet is a prefix of the
-// 32-tenant fleet and sweeps over tenant counts share per-tenant work.
+// (Prefix, Seed, i), so a 4-tenant fleet is a prefix of the 32-tenant fleet
+// and sweeps over tenant counts share per-tenant work. Two calls with equal
+// arguments produce byte-identical files, like Generate.
 // Members stay lean (depth ≤ 3, 4–8 target cores, cycling by index): fleets
 // scale by tenant count, not by per-tenant size. SLA headroom is fixed at a
 // generous 6× — unlike the adversarial corpus, a fleet should mostly admit,
@@ -42,22 +41,4 @@ func FleetMember(p FleetParams, i int) (*File, error) {
 		TargetCores: []float64{4, 6, 8}[i%3],
 		SLAHeadroom: 6,
 	})
-}
-
-// GenerateFleet builds the N tenants of a fleet. Two calls with equal params
-// produce byte-identical files, like Generate.
-func GenerateFleet(p FleetParams) ([]*File, error) {
-	p.defaults()
-	if p.N <= 0 {
-		return nil, fmt.Errorf("spec: FleetParams.N required")
-	}
-	files := make([]*File, p.N)
-	for i := 0; i < p.N; i++ {
-		f, err := FleetMember(p, i)
-		if err != nil {
-			return nil, fmt.Errorf("fleet member %d: %w", i, err)
-		}
-		files[i] = f
-	}
-	return files, nil
 }

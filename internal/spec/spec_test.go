@@ -529,12 +529,12 @@ func TestGenerateAlwaysBuildable(t *testing.T) {
 	}
 }
 
-func TestGenerateFleet(t *testing.T) {
-	fleet, err := GenerateFleet(FleetParams{N: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range fleet {
+func TestFleetMember(t *testing.T) {
+	for i := 0; i < 6; i++ {
+		f, err := FleetMember(FleetParams{Seed: 3}, i)
+		if err != nil {
+			t.Fatal(err)
+		}
 		want := fmt.Sprintf("tenant-%02d", i)
 		if f.App != want {
 			t.Fatalf("member %d named %q, want %q", i, f.App, want)
@@ -546,13 +546,12 @@ func TestGenerateFleet(t *testing.T) {
 		if c.Rate <= 0 || len(c.Spec.Services) < 2 {
 			t.Fatalf("member %d: degenerate tenant (rate %v, %d services)", i, c.Rate, len(c.Spec.Services))
 		}
-	}
-	// Member i must not depend on N: a small fleet is a prefix of a large one.
-	solo, err := FleetMember(FleetParams{Seed: 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fleet[4], solo) {
-		t.Fatal("FleetMember(4) differs from GenerateFleet member 4")
+		again, err := FleetMember(FleetParams{Seed: 3}, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(f, again) {
+			t.Fatalf("member %d differs between two equal calls", i)
+		}
 	}
 }

@@ -227,31 +227,3 @@ func GridPercentiles(xs, ps, out []float64) {
 	*scratch = buf[:0]
 	PutScratch(scratch)
 }
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  sorted[0],
-		Max:  sorted[len(sorted)-1],
-		P50:  PercentileSorted(sorted, 50),
-		P90:  PercentileSorted(sorted, 90),
-		P99:  PercentileSorted(sorted, 99),
-	}
-}

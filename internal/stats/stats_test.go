@@ -206,20 +206,6 @@ func TestPercentileSelectProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = float64(i + 1)
-	}
-	s := Summarize(xs)
-	if s.N != 1000 || s.Min != 1 || s.Max != 1000 {
-		t.Fatalf("Summary basics wrong: %+v", s)
-	}
-	if !almost(s.P50, 500.5, 1e-9) || !almost(s.P99, 990.01, 0.1) {
-		t.Fatalf("Summary percentiles wrong: %+v", s)
-	}
-}
-
 func TestWelchTTestKnownValue(t *testing.T) {
 	// Hand-computed example:
 	// a = {1..5}:  mean 3, var 2.5, n 5  → var/n = 0.5
