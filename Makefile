@@ -31,12 +31,14 @@ bench-e2e:
 	bash bench/e2e/run.sh $(ARGS)
 
 # bench-core runs the simulator hot-path microbenchmarks (event core,
-# virtual-time CPU scheduler, windowed metrics queries) and writes a JSON
-# report with ns/op and allocs/op per benchmark. Diff BENCH_simcore.json to
-# spot perf regressions in the hot path.
+# virtual-time CPU scheduler, windowed metrics queries) plus one service's
+# exploration at the harness's settings (the unit-level view of setup's
+# allocation), and writes a JSON report with ns/op, B/op and allocs/op per
+# benchmark. Diff BENCH_simcore.json to spot perf regressions in the hot
+# path.
 bench-core:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCPUSched|BenchmarkWindowed' \
-		-benchmem ./internal/sim ./internal/services ./internal/metrics \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCPUSched|BenchmarkWindowed|BenchmarkExploreService' \
+		-benchmem ./internal/sim ./internal/services ./internal/metrics ./internal/core \
 		| $(GO) run ./cmd/benchjson > BENCH_simcore.json
 	@echo wrote BENCH_simcore.json
 

@@ -14,7 +14,7 @@
 // An exact window stores whole-nanosecond latencies as 4-byte counts and
 // falls back to float64 only for samples that are not (see exactWindow); a
 // closed exact window is sealed to its exact size, with no append growth
-// slack.
+// slack, and hands its buffer on to the next window.
 package metrics
 
 import (
@@ -22,6 +22,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"ursa/internal/sim"
 	"ursa/internal/stats"
@@ -111,10 +112,14 @@ func (e *exactWindow) appendTo(dst []float64) []float64 {
 	dst = slices.Grow(dst, len(e.ns))[:n+len(e.ns)]
 	out := dst[n:]
 	for i, u := range e.ns[:len(out)] {
-		out[i] = float64(u) / 1e6
+		out[i] = nanosToMillis(u)
 	}
 	return dst
 }
+
+// nanosToMillis reads a stored count back as the float64 milliseconds it
+// was recorded as.
+func nanosToMillis(u uint32) float64 { return float64(u) / 1e6 }
 
 // extend appends src's samples in order, promoting e if src is wide.
 func (e *exactWindow) extend(src *exactWindow) {
@@ -128,14 +133,27 @@ func (e *exactWindow) extend(src *exactWindow) {
 	e.wide = src.appendTo(e.wide)
 }
 
-// seal drops append's growth slack from a closed window.
-func (e *exactWindow) seal() {
-	if cap(e.ns) > len(e.ns) {
-		e.ns = append(make([]uint32, 0, len(e.ns)), e.ns...)
+// seal drops append's growth slack from a closed window: its samples move
+// to an exact-size slice. A narrow window's old buffer is returned, emptied,
+// for the next window to append into, so append growth happens about once
+// per collector rather than once per window. The buffer is dropped (nil is
+// returned) when its spare capacity exceeds what append growth leaves — a
+// quarter of the count just sealed plus 256 samples — so an open window
+// holds no more slack than a freshly grown one, and a collector whose load
+// falls sheds its peak-sized buffer.
+func (e *exactWindow) seal() []uint32 {
+	if e.wide != nil {
+		if cap(e.wide) > len(e.wide) {
+			e.wide = append(make([]float64, 0, len(e.wide)), e.wide...)
+		}
+		return nil
 	}
-	if cap(e.wide) > len(e.wide) {
-		e.wide = append(make([]float64, 0, len(e.wide)), e.wide...)
+	buf := e.ns
+	e.ns = append(make([]uint32, 0, len(buf)), buf...)
+	if cap(buf)-len(buf) > len(buf)/4+256 {
+		return nil
 	}
+	return buf[:0]
 }
 
 // NewWindowed returns an exact-mode collector with the given window size.
@@ -188,19 +206,20 @@ func (w *Windowed) addAt(i int, v float64) {
 }
 
 // appendWindow opens a new newest window. In exact mode it first seals the
-// previous newest window: its samples move to an exact-capacity slice, so a
-// closed window keeps none of append's growth slack. A late out-of-order
-// sample routed to a sealed window simply reallocates (or promotes) it.
+// previous newest window (exactWindow.seal), and the new window appends
+// into the buffer the seal hands back. A late out-of-order sample routed to
+// a sealed window simply reallocates (or promotes) it.
 func (w *Windowed) appendWindow(ws sim.Time) {
 	w.start = append(w.start, ws)
 	if w.Sketched() {
 		w.sketches = append(w.sketches, w.newSketch())
 		return
 	}
+	var buf []uint32
 	if n := len(w.exact); n > w.head {
-		w.exact[n-1].seal()
+		buf = w.exact[n-1].seal()
 	}
-	w.exact = append(w.exact, exactWindow{})
+	w.exact = append(w.exact, exactWindow{ns: buf})
 }
 
 // insertWindow inserts an empty window at physical index i (out-of-order
@@ -316,11 +335,29 @@ func (w *Windowed) WindowQuantileAt(i int, p float64) float64 {
 	return w.exactPercentile(i, i+1, p)
 }
 
-// exactPercentile gathers the samples of physical windows [lo, hi), in
-// order, into a pooled scratch buffer and selects the p-th percentile in
-// place — 0 for no samples, like stats.Percentile. It allocates nothing in
-// steady state.
+// exactPercentile selects the p-th percentile of the samples of physical
+// windows [lo, hi) in a pooled scratch buffer — 0 for no samples, like
+// stats.Percentile. It allocates nothing in steady state. When every window
+// is narrow it gathers and selects the nanosecond counts themselves and
+// converts only the bracketing pair: u ↦ float64(u)/1e6 is strictly
+// increasing below 2³², so the answer is bit-identical to selecting over
+// the float64 samples.
 func (w *Windowed) exactPercentile(lo, hi int, p float64) float64 {
+	narrow := true
+	for i := lo; i < hi && narrow; i++ {
+		narrow = w.exact[i].wide == nil
+	}
+	if narrow {
+		scratch := nsScratch.Get().(*[]uint32)
+		buf := (*scratch)[:0]
+		for i := lo; i < hi; i++ {
+			buf = append(buf, w.exact[i].ns...)
+		}
+		v := stats.SelectPercentile(buf, p, nanosToMillis)
+		*scratch = buf[:0]
+		nsScratch.Put(scratch)
+		return v
+	}
 	scratch := stats.GetScratch()
 	buf := *scratch
 	for i := lo; i < hi; i++ {
@@ -331,6 +368,13 @@ func (w *Windowed) exactPercentile(lo, hi int, p float64) float64 {
 	stats.PutScratch(scratch)
 	return v
 }
+
+// nsScratch recycles the count buffers of all-narrow percentile queries,
+// as stats.GetScratch does for float64 ones.
+var nsScratch = sync.Pool{New: func() any {
+	s := make([]uint32, 0, 256)
+	return &s
+}}
 
 // windowRange binary-searches the ascending start slice and returns the
 // half-open physical index range of windows whose start lies in [from, to).

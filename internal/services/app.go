@@ -60,12 +60,14 @@ type App struct {
 
 	telemetry TelemetryConfig
 
-	// framePool / reqPool / callPool recycle step frames, requests and
-	// resilient calls (frame.go, resilience.go). Per-app (= per-engine), so
-	// parallel experiment runs never share them.
+	// framePool / reqPool / callPool / jobPool recycle step frames,
+	// requests, resilient calls and jobs (frame.go, resilience.go,
+	// task.go). Per-app (= per-engine), so parallel experiment runs never
+	// share them.
 	framePool []*frame
 	reqPool   []*Request
 	callPool  []*rpcCall
+	jobPool   []*Job
 }
 
 // Placer chooses a node for a new replica of the named service. Implementors
@@ -242,8 +244,8 @@ func (a *App) RefreshNodeCPU(n *cluster.Node) {
 }
 
 // Inject starts one job of the given (non-derived) request class at its
-// entry service and returns the job.
-func (a *App) Inject(class string) *Job {
+// entry service.
+func (a *App) Inject(class string) {
 	cs := a.Spec.Class(class)
 	if cs == nil {
 		panic(fmt.Sprintf("services: unknown class %q", class))
@@ -251,34 +253,30 @@ func (a *App) Inject(class string) *Job {
 	if cs.Entry == "" {
 		panic(fmt.Sprintf("services: class %q has no entry service", class))
 	}
-	return a.injectAt(a.mustService(cs.Entry), class)
+	a.injectAt(a.mustService(cs.Entry), class)
 }
 
 // injectAt starts a new measured job of class at svc (used by Inject and by
 // Spawn steps).
-func (a *App) injectAt(svc *Service, class string) *Job {
+func (a *App) injectAt(svc *Service, class string) {
 	cs := a.Spec.Class(class)
 	if cs == nil {
 		panic(fmt.Sprintf("services: unknown class %q", class))
 	}
-	j := &Job{
-		Class:    class,
-		Priority: cs.Priority,
-		Start:    a.Eng.Now(),
-		app:      a,
-	}
+	j := a.getJob()
+	j.Class = class
+	j.Priority = cs.Priority
+	j.Start = a.Eng.Now()
 	if a.Tracer != nil {
 		j.traceID = a.Tracer.StartJob(class, a.Eng.Now())
 	}
 	a.InjectedJobs++
 	j.add()
-	entry := a.getRequest()
-	entry.Job = j
+	entry := a.getRequest(j)
 	entry.Class = class
 	entry.Priority = j.Priority
 	entry.doneBranch = true
 	svc.Enqueue(entry)
-	return j
 }
 
 // sampleMetrics stores one utilisation sample per service per window, then

@@ -99,15 +99,19 @@ func (a *App) putFrame(f *frame) {
 	a.framePool = append(a.framePool, f)
 }
 
-// getRequest pops a recycled Request (zeroed) or allocates one.
-func (a *App) getRequest() *Request {
-	n := len(a.reqPool)
-	if n == 0 {
-		return newRequest()
+// getRequest pops a recycled Request (zeroed) or allocates one, and points
+// it at job j, taking one of j's references.
+func (a *App) getRequest(j *Job) *Request {
+	var r *Request
+	if n := len(a.reqPool); n == 0 {
+		r = newRequest()
+	} else {
+		r = a.reqPool[n-1]
+		a.reqPool[n-1] = nil
+		a.reqPool = a.reqPool[:n-1]
 	}
-	r := a.reqPool[n-1]
-	a.reqPool[n-1] = nil
-	a.reqPool = a.reqPool[:n-1]
+	r.Job = j
+	j.refs++
 	return r
 }
 
@@ -116,10 +120,14 @@ func (a *App) getRequest() *Request {
 // frame.finish and rpcCall.release): a failed or abandoned request may still
 // be referenced by a crashed replica's bookkeeping, a late resilience
 // timeout, or a caller that gave up on it — so those are left to the
-// garbage collector.
+// garbage collector, and so is their job (see Job).
 func (a *App) putRequest(r *Request) {
+	j := r.Job
 	*r = Request{requestFns: r.requestFns}
 	a.reqPool = append(a.reqPool, r)
+	if j != nil { // a request built outside the pool may carry no job
+		j.unref()
+	}
 }
 
 // exec runs steps from the current program counter until the frame blocks on
@@ -135,7 +143,7 @@ func (f *frame) exec() {
 			return
 		}
 		switch st := f.steps[f.i].(type) {
-		case Compute:
+		case computeStep:
 			ms := st.sample(req.svc.rng)
 			f.i++
 			f.refs++
@@ -157,8 +165,7 @@ func (f *frame) exec() {
 					// The response-wait clock starts at admission by the
 					// downstream ingress; send-blocking before that charges
 					// the caller's own response time (backpressure).
-					rpc := a.getRequest()
-					rpc.Job = req.Job
+					rpc := a.getRequest(req.Job)
 					rpc.Class = class
 					rpc.Priority = req.Priority
 					rpc.Failed = fail
@@ -183,8 +190,7 @@ func (f *frame) exec() {
 				return
 			case MQ:
 				req.Job.add()
-				mq := a.getRequest()
-				mq.Job = req.Job
+				mq := a.getRequest(req.Job)
 				mq.Class = class
 				mq.Priority = req.Priority
 				mq.Failed = fail
@@ -239,8 +245,7 @@ func (f *frame) daemonGranted() {
 	f.evTarget, f.evClass, f.evFail = nil, "", false
 	req.Job.add()
 	if a.res == nil && a.Net == nil {
-		rpc := a.getRequest()
-		rpc.Job = req.Job
+		rpc := a.getRequest(req.Job)
 		rpc.Class = class
 		rpc.Priority = req.Priority
 		rpc.Failed = fail

@@ -286,23 +286,24 @@ func TestFrameLifetimesMatchGolden(t *testing.T) {
 }
 
 // frameAllocCeiling bounds steady-state heap allocations per job on the
-// kitchen-sink scenario's fast path: 1.08 measured (the per-job Job plus
-// metric-window growth), plus a 15% margin.
-const frameAllocCeiling = 1.24
+// kitchen-sink scenario's fast path: 0.0211 measured (jobs, frames,
+// requests and calls are all pooled; what is left is one sealed copy per
+// metric window and the counters' window growth), plus a 15% margin.
+const frameAllocCeiling = 0.024
 
 // resilientAllocCeiling bounds the same measure with every call on the
 // resilient path (timeouts armed, each delivery delayed by the network):
-// 1.08 measured, plus a 15% margin.
-const resilientAllocCeiling = 1.24
+// 0.0245 measured, plus a 15% margin.
+const resilientAllocCeiling = 0.028
 
-// TestFrameAllocCeiling pins the point of the frame machine: frames and
-// requests are pool-recycled and every continuation is bound once, so a job
-// allocates little beyond its Job.
+// TestFrameAllocCeiling pins the point of the frame machine: jobs, frames
+// and requests are pool-recycled and every continuation is bound once, so a
+// job allocates nothing of its own.
 func TestFrameAllocCeiling(t *testing.T) {
 	perJob := kitchenSinkJobAllocs(t, nil)
-	t.Logf("allocs/job: %.2f (ceiling %v)", perJob, frameAllocCeiling)
+	t.Logf("allocs/job: %.4f (ceiling %v)", perJob, frameAllocCeiling)
 	if perJob > frameAllocCeiling {
-		t.Fatalf("frame machine allocates %.2f/job, above the ceiling of %v", perJob, frameAllocCeiling)
+		t.Fatalf("frame machine allocates %.4f/job, above the ceiling of %v", perJob, frameAllocCeiling)
 	}
 }
 
@@ -314,9 +315,9 @@ func TestResilientAllocCeiling(t *testing.T) {
 		app.SetResilience(ResiliencePolicy{TimeoutMs: 100, MaxRetries: 2, BackoffBaseMs: 5, BackoffMaxMs: 20, JitterFrac: 0.2})
 		app.Net = &delayNet{after: sim.Millisecond}
 	})
-	t.Logf("allocs/job: %.2f (ceiling %v)", perJob, resilientAllocCeiling)
+	t.Logf("allocs/job: %.4f (ceiling %v)", perJob, resilientAllocCeiling)
 	if perJob > resilientAllocCeiling {
-		t.Fatalf("resilient calls allocate %.2f/job, above the ceiling of %v", perJob, resilientAllocCeiling)
+		t.Fatalf("resilient calls allocate %.4f/job, above the ceiling of %v", perJob, resilientAllocCeiling)
 	}
 }
 

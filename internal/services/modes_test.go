@@ -55,9 +55,7 @@ func TestNestedChainEndToEndIsSumOfTiers(t *testing.T) {
 func TestEventChainRespondsBeforeDownstream(t *testing.T) {
 	eng := sim.NewEngine(21)
 	app := MustNewApp(eng, chainSpec(3, EventRPC, 10))
-	var jobLatency sim.Time
-	j := app.Inject("req")
-	j.Done = func(_ *Job, lat sim.Time) { jobLatency = lat }
+	app.Inject("req")
 	eng.RunUntil(sim.Second)
 	// Tier 1's handler responds after its own 10ms burst + dispatch; the
 	// job as a whole completes only after tier 3 finishes (30ms of serial
@@ -66,8 +64,9 @@ func TestEventChainRespondsBeforeDownstream(t *testing.T) {
 	if len(rt) != 1 || math.Abs(rt[0]-10) > 1e-6 {
 		t.Fatalf("tier1 response = %v, want ≈10ms", rt)
 	}
-	if math.Abs(jobLatency.Millis()-30) > 1e-6 {
-		t.Fatalf("job latency = %v, want 30ms", jobLatency)
+	lats := app.E2E.Class("req").Between(0, math.MaxInt64)
+	if len(lats) != 1 || math.Abs(lats[0]-30) > 1e-6 {
+		t.Fatalf("job latency = %vms, want [30]", lats)
 	}
 }
 

@@ -141,6 +141,7 @@ func (a *App) startCall(req *Request, target *Service, class string, fail bool, 
 	c.src = req.svc
 	c.target = target
 	c.job = req.Job
+	c.job.refs++
 	c.class = class
 	c.priority = req.Priority
 	c.fail = fail
@@ -165,14 +166,16 @@ func (a *App) getCall() *rpcCall {
 }
 
 // release recycles a settled call with no continuation left, and its
-// successful attempt's request with it.
+// successful attempt's request with it, then drops the call's reference to
+// its job.
 func (c *rpcCall) release() {
-	a := c.app
+	a, j := c.app, c.job
 	if c.ok != nil {
 		a.putRequest(c.ok)
 	}
 	*c = rpcCall{app: a, tryFn: c.tryFn}
 	a.callPool = append(a.callPool, c)
+	j.unref()
 }
 
 // unref drops one reference and recycles the call if it was the last one
@@ -194,8 +197,7 @@ func (c *rpcCall) try() {
 	a := c.app
 	c.attempt++
 	c.target.RPCAttempts.Inc(a.Eng.Now(), 1)
-	rpc := a.getRequest()
-	rpc.Job = c.job
+	rpc := a.getRequest(c.job)
 	rpc.Class = c.class
 	rpc.Priority = c.priority
 	rpc.Failed = c.fail

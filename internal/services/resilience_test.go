@@ -2,6 +2,7 @@ package services
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ursa/internal/cluster"
@@ -300,5 +301,104 @@ func TestFailedJobTraceIncomplete(t *testing.T) {
 	// flagged abandoned.
 	if len(traces[0].Spans) != 1 || !traces[0].Spans[0].Abandoned {
 		t.Fatalf("spans = %+v, want one abandoned frontend span", traces[0].Spans)
+	}
+}
+
+// ghostRun drives the job-lifetime scenario of TestGhostAttemptCannotReachReusedJob
+// and returns the app after 200 ms. Job A's first attempt to slow is
+// delayed past its 10 ms timeout when ghost is set; its retry completes A at
+// 21 ms, and the late attempt then runs at slow from 51 ms as a ghost,
+// sending an MQ branch of A's to sink. Job Q (one front burst) finishes at
+// 1 ms, and job B, injected at 48 ms, overlaps the ghost at slow and sink.
+// poolAtB reports the job free list's length just before B is injected.
+func ghostRun(t *testing.T, ghost bool) (app *App, poolAtB int) {
+	t.Helper()
+	spec := AppSpec{
+		Name: "ghost",
+		Services: []ServiceSpec{
+			{Name: "front", Threads: 8, CPUs: 4, InitialReplicas: 1, Handlers: map[string][]Step{
+				"get":  Seq(Compute{MeanMs: 1, CV: -1}, Call{Service: "slow", Mode: NestedRPC}),
+				"ping": Seq(Compute{MeanMs: 1, CV: -1}),
+			}},
+			{Name: "slow", Threads: 8, CPUs: 4, InitialReplicas: 1, Handlers: map[string][]Step{
+				"get": Seq(Compute{MeanMs: 5, CV: -1}, Call{Service: "sink", Mode: MQ}),
+			}},
+			{Name: "sink", Threads: 8, CPUs: 4, InitialReplicas: 1, Handlers: map[string][]Step{
+				"get": Seq(Compute{MeanMs: 3, CV: -1}),
+			}},
+		},
+		Classes: []ClassSpec{
+			{Name: "get", Entry: "front", SLAPercentile: 99, SLAMillis: 100},
+			{Name: "ping", Entry: "front", SLAPercentile: 99, SLAMillis: 100},
+		},
+	}
+	eng := sim.NewEngine(1)
+	app = MustNewApp(eng, spec)
+	app.Tracer = trace.NewTracer(1, 0)
+	app.SetResilience(ResiliencePolicy{TimeoutMs: 10, MaxRetries: 1, BackoffBaseMs: 2, BackoffMaxMs: 2, JitterFrac: 0})
+	net := &delayNet{}
+	if ghost {
+		net.delays = []sim.Time{50 * sim.Millisecond}
+	}
+	app.Net = net
+	app.Inject("get")
+	app.Inject("ping")
+	eng.Schedule(48*sim.Millisecond, func() {
+		poolAtB = len(app.jobPool)
+		app.Inject("get")
+	})
+	eng.RunUntil(200 * sim.Millisecond)
+	return app, poolAtB
+}
+
+// TestGhostAttemptCannotReachReusedJob pins the job lifetime rule: a job
+// record is recycled only once it finished and no Request or rpcCall points
+// at it. A timed-out attempt still executes at the callee after its job
+// finished, and adds and retires a branch of that job, while later jobs
+// reuse pooled records. The ghost must pin its own job, so job B — which
+// would otherwise reuse A's record — keeps its branch count, completion time
+// and spans exactly as in the same run without the ghost.
+func TestGhostAttemptCannotReachReusedJob(t *testing.T) {
+	app, poolAtB := ghostRun(t, true)
+	clean, cleanPoolAtB := ghostRun(t, false)
+
+	if got := app.Service("slow").RPCErrors.Total(0, sim.Second); got != 1 {
+		t.Fatalf("slow RPC errors = %v, want the one timeout", got)
+	}
+	// The ghost ran at slow and sent its MQ branch to sink.
+	if n, m := app.Service("sink").RespTime.Merged().Count(0, sim.Second), clean.Service("sink").RespTime.Merged().Count(0, sim.Second); n != m+1 {
+		t.Fatalf("sink handled %d requests, want %d (the clean run's plus the ghost's branch)", n, m+1)
+	}
+	// Q's record was free for B in both runs; A's only without the ghost.
+	if poolAtB != 1 || cleanPoolAtB != 2 {
+		t.Fatalf("free jobs before B = %d (clean %d), want 1 (clean 2): the ghost must pin A", poolAtB, cleanPoolAtB)
+	}
+	// Two records serve the three jobs; the ghost keeps A's out for good.
+	if len(app.jobPool) != 1 || len(clean.jobPool) != 2 {
+		t.Fatalf("free jobs at end = %d (clean %d), want 1 (clean 2)", len(app.jobPool), len(clean.jobPool))
+	}
+	if app.CompletedJobs() != 3 || app.FailedJobs() != 0 {
+		t.Fatalf("completed=%d failed=%d, want 3/0", app.CompletedJobs(), app.FailedJobs())
+	}
+	lats := app.E2E.Class("get").Between(0, sim.Second)
+	want := []float64{21, 9} // A (timeout, 2 ms backoff, retry), then B
+	if len(lats) != 2 || math.Abs(lats[0]-want[0]) > 1e-6 || math.Abs(lats[1]-want[1]) > 1e-6 {
+		t.Fatalf("get latencies = %v ms, want %v", lats, want)
+	}
+	if b, cb := app.E2E.Class("get").Between(40*sim.Millisecond, sim.Second), clean.E2E.Class("get").Between(40*sim.Millisecond, sim.Second); !reflect.DeepEqual(b, cb) {
+		t.Fatalf("B's latency = %v ms, want the clean run's %v", b, cb)
+	}
+	traceOf := func(a *App, start sim.Time) *trace.Trace {
+		for _, tr := range a.Tracer.Traces() {
+			if tr.Start == start {
+				return tr
+			}
+		}
+		t.Fatalf("no trace starts at %v", start)
+		return nil
+	}
+	b, cb := traceOf(app, 48*sim.Millisecond), traceOf(clean, 48*sim.Millisecond)
+	if !b.Complete || len(b.Spans) != 3 || !reflect.DeepEqual(b, cb) {
+		t.Fatalf("B's trace = %+v\nwant the clean run's %+v", b, cb)
 	}
 }

@@ -16,6 +16,8 @@ type Service struct {
 	app  *App
 	spec ServiceSpec
 	rng  *rand.Rand
+	// handlers are spec.Handlers compiled for execution (compileSteps).
+	handlers map[string][]Step
 
 	queue    reqQueue
 	replicas []*Replica // active
@@ -73,6 +75,10 @@ func newService(app *App, spec ServiceSpec) *Service {
 		RPCAttempts: metrics.NewCounterSeries(app.window),
 		RPCErrors:   metrics.NewCounterSeries(app.window),
 		RPCRetries:  metrics.NewCounterSeries(app.window),
+	}
+	s.handlers = make(map[string][]Step, len(spec.Handlers))
+	for class, steps := range spec.Handlers {
+		s.handlers[class] = compileSteps(steps)
 	}
 	for i := 0; i < spec.InitialReplicas; i++ {
 		s.addReplica()
@@ -485,7 +491,7 @@ func (s *Service) pickReplica() *Replica {
 
 // start runs a request's handler on a worker of rep.
 func (s *Service) start(rep *Replica, req *Request) {
-	steps, ok := s.spec.Handlers[req.Class]
+	steps, ok := s.handlers[req.Class]
 	if !ok {
 		panic(fmt.Sprintf("services: %s has no handler for class %q", s.spec.Name, req.Class))
 	}

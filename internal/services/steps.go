@@ -63,18 +63,62 @@ type Compute struct {
 
 func (Compute) isStep() {}
 
+// computeStep is a Compute step compiled for execution (compileSteps): the
+// log-normal parameters are derived once, when the app is built, with the
+// LogNormalFromMeanCV arithmetic a per-draw derivation would repeat, so
+// every draw returns the same bits.
+type computeStep struct {
+	meanMs float64
+	fixed  bool // exactly meanMs, no draw
+	ln     stats.LogNormal
+}
+
+func (computeStep) isStep() {}
+
+// compile derives c's computeStep. CV = 0 selects the default 0.3 and a
+// negative CV a fixed burst. A non-positive mean is compiled as fixed only
+// so that building never panics: Validate rejects it on every handler a job
+// can reach, so such a step never executes.
+func (c Compute) compile() computeStep {
+	switch {
+	case c.CV < 0 || c.MeanMs <= 0:
+		return computeStep{meanMs: c.MeanMs, fixed: true}
+	case c.CV == 0:
+		return computeStep{meanMs: c.MeanMs, ln: stats.LogNormalFromMeanCV(c.MeanMs, 0.3)}
+	default:
+		return computeStep{meanMs: c.MeanMs, ln: stats.LogNormalFromMeanCV(c.MeanMs, c.CV)}
+	}
+}
+
 // sample draws one burst duration in milliseconds. It works on the concrete
 // LogNormal value, never boxed into an interface, so a draw allocates
 // nothing.
-func (c Compute) sample(r *rand.Rand) float64 {
-	switch {
-	case c.CV < 0:
-		return c.MeanMs
-	case c.CV == 0:
-		return stats.LogNormalFromMeanCV(c.MeanMs, 0.3).Sample(r)
-	default:
-		return stats.LogNormalFromMeanCV(c.MeanMs, c.CV).Sample(r)
+func (b computeStep) sample(r *rand.Rand) float64 {
+	if b.fixed {
+		return b.meanMs
 	}
+	return b.ln.Sample(r)
+}
+
+// compileSteps copies a handler's step list for execution, with every
+// Compute, Par branches included, replaced by its computeStep.
+func compileSteps(steps []Step) []Step {
+	out := make([]Step, len(steps))
+	for i, st := range steps {
+		switch s := st.(type) {
+		case Compute:
+			out[i] = s.compile()
+		case Par:
+			branches := make([][]Step, len(s.Branches))
+			for j, br := range s.Branches {
+				branches[j] = compileSteps(br)
+			}
+			out[i] = Par{Branches: branches}
+		default:
+			out[i] = st
+		}
+	}
+	return out
 }
 
 // Call invokes another service.

@@ -6,6 +6,14 @@ import "ursa/internal/sim"
 // asynchronous continuation it triggers within the same request class. Its
 // latency (start → last outstanding branch done) is what the end-to-end SLA
 // constrains.
+//
+// Lifetime: jobs are recycled through App.jobPool. A job is released only
+// when it has finished AND refs — the number of Requests and rpcCalls that
+// still point at it — has dropped to zero. A Request gives up its reference
+// when it is recycled and an rpcCall when it is released, so a request that
+// is never recycled (a ghost attempt, an abandoned or crash-failed handler)
+// pins its job for the garbage collector: whatever that request still does
+// reaches its own finished job, never a reused record.
 type Job struct {
 	Class    string
 	Priority int
@@ -14,11 +22,32 @@ type Job struct {
 	app         *App
 	traceID     uint64
 	outstanding int
+	refs        int
 	finished    bool
 	failed      bool
-	// Done, when non-nil, fires once when the job completes (even if it
-	// failed — check Failed).
-	Done func(j *Job, latency sim.Time)
+}
+
+// getJob pops a recycled job (zeroed) or allocates one.
+func (a *App) getJob() *Job {
+	n := len(a.jobPool)
+	if n == 0 {
+		return &Job{app: a}
+	}
+	j := a.jobPool[n-1]
+	a.jobPool[n-1] = nil
+	a.jobPool = a.jobPool[:n-1]
+	return j
+}
+
+// unref drops one Request's or rpcCall's reference and recycles the job if
+// it was the last one of a finished job. Nothing may touch the job after.
+func (j *Job) unref() {
+	j.refs--
+	if j.refs == 0 && j.finished {
+		a := j.app
+		*j = Job{app: a}
+		a.jobPool = append(a.jobPool, j)
+	}
 }
 
 // add registers one more outstanding branch.
@@ -30,10 +59,8 @@ func (j *Job) add() { j.outstanding++ }
 // E2E latency sample.
 func (j *Job) fail() { j.failed = true }
 
-// Failed reports whether the job terminally failed.
-func (j *Job) Failed() bool { return j.failed }
-
-// branchDone retires one branch and completes the job at zero.
+// branchDone retires one branch and completes the job at zero. The caller
+// holds a reference, so the job is never recycled here.
 func (j *Job) branchDone() {
 	j.outstanding--
 	if j.outstanding < 0 {
@@ -42,21 +69,17 @@ func (j *Job) branchDone() {
 	if j.outstanding == 0 && !j.finished {
 		j.finished = true
 		now := j.app.Eng.Now()
-		lat := now - j.Start
 		if j.failed {
 			j.app.failedJobs++
 			if j.app.Tracer != nil {
 				j.app.Tracer.FailJob(j.traceID, now)
 			}
 		} else {
-			j.app.E2E.Record(now, j.Class, lat.Millis())
+			j.app.E2E.Record(now, j.Class, (now - j.Start).Millis())
 			j.app.completedJobs++
 			if j.app.Tracer != nil {
 				j.app.Tracer.EndJob(j.traceID, now)
 			}
-		}
-		if j.Done != nil {
-			j.Done(j, lat)
 		}
 	}
 }

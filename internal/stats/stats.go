@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"sort"
 	"sync"
@@ -102,20 +103,32 @@ func Percentile(xs []float64, p float64) float64 {
 // O(n) instead of sorting, with no allocation. The result is identical to
 // Percentile (same order statistics, same interpolation arithmetic).
 func PercentileInPlace(xs []float64, p float64) float64 {
+	return SelectPercentile(xs, p, identity)
+}
+
+func identity(x float64) float64 { return x }
+
+// SelectPercentile is PercentileInPlace over values of any ordered type that
+// conv maps to float64: it quickselects the bracketing order statistics of
+// xs (reordering it) and converts only those two before interpolating. When
+// conv is strictly increasing, the result is bit-identical to
+// PercentileInPlace over the converted values, since both pick the same
+// order statistics and run the same arithmetic on them.
+func SelectPercentile[T cmp.Ordered](xs []T, p float64, conv func(T) float64) float64 {
 	n := len(xs)
 	if n == 0 {
 		return 0
 	}
 	if p <= 0 {
-		return selectK(xs, 0)
+		return conv(selectK(xs, 0))
 	}
 	if p >= 100 {
-		return selectK(xs, n-1)
+		return conv(selectK(xs, n-1))
 	}
 	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
-	v := selectK(xs, lo)
+	v := conv(selectK(xs, lo))
 	if lo == hi {
 		return v
 	}
@@ -123,46 +136,42 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	// (lo+1)-th order statistic is the minimum of that tail.
 	nxt := xs[lo+1]
 	for _, x := range xs[lo+2:] {
-		if fless(x, nxt) {
+		if cmp.Less(x, nxt) {
 			nxt = x
 		}
 	}
 	frac := rank - float64(lo)
-	return v*(1-frac) + nxt*frac
-}
-
-// fless orders float64s exactly like sort.Float64s: ascending with NaNs
-// first, so quickselect agrees with the sort-based reference on any input.
-func fless(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
+	return v*(1-frac) + conv(nxt)*frac
 }
 
 // selectK partially reorders xs so xs[k] holds the k-th smallest element,
 // everything before it is no larger and everything after it is no smaller.
+// It orders like sort.Float64s (cmp.Less: ascending, NaNs first), so
+// quickselect agrees with the sort-based reference on any input.
 // Median-of-three pivoting with three-way (Dutch-flag) partitioning keeps it
 // expected O(n) even on heavily duplicated inputs.
-func selectK(xs []float64, k int) float64 {
+func selectK[T cmp.Ordered](xs []T, k int) T {
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
 		mid := lo + (hi-lo)/2
-		if fless(xs[mid], xs[lo]) {
+		if cmp.Less(xs[mid], xs[lo]) {
 			xs[mid], xs[lo] = xs[lo], xs[mid]
 		}
-		if fless(xs[hi], xs[lo]) {
+		if cmp.Less(xs[hi], xs[lo]) {
 			xs[hi], xs[lo] = xs[lo], xs[hi]
 		}
-		if fless(xs[hi], xs[mid]) {
+		if cmp.Less(xs[hi], xs[mid]) {
 			xs[hi], xs[mid] = xs[mid], xs[hi]
 		}
 		pivot := xs[mid]
 		lt, i, gt := lo, lo, hi
 		for i <= gt {
 			switch {
-			case fless(xs[i], pivot):
+			case cmp.Less(xs[i], pivot):
 				xs[lt], xs[i] = xs[i], xs[lt]
 				lt++
 				i++
-			case fless(pivot, xs[i]):
+			case cmp.Less(pivot, xs[i]):
 				xs[i], xs[gt] = xs[gt], xs[i]
 				gt--
 			default:
